@@ -17,7 +17,6 @@ from .quiver import (
     find_extended_dynkin_subquiver,
     parse_quiver,
     relation_count_matrix,
-    spectral_class,
 )
 from .series import (
     CompareResult,
@@ -42,7 +41,6 @@ from .algebra import (
     count_avoiding_paths,
     free_product,
     generator_matrix,
-    graded_dimension,
     hilbert_series,
     preprojective_presentation,
     relation_dim_matrix,

@@ -97,13 +97,7 @@ class Presentation:
                 block = blk
             elif blk != block:
                 raise AlgebraError("relation mixes blocks %s and %s" % (block, blk))
-            cv = self.field.convert(c)
-            key = (b, a)
-            nv = self.field.add(merged.get(key, self.field.zero), cv)
-            if nv:
-                merged[key] = nv
-            elif key in merged:
-                del merged[key]
+            self.field.acc(merged, (b, a), self.field.convert(c))
         if not seen_any:
             raise AlgebraError("empty relation")
         if not merged:
@@ -197,6 +191,10 @@ class GradedEngine:
     (pivot monomial -> basis expansion) come from the reduced echelon; a
     degree computed in forward-only mode (cheaper, used for a final degree)
     has no rewrite table and is rebuilt on demand.
+
+    Each degree stores its basis tuple and its rewrite table, nothing else.
+    A candidate is a basis path exactly when it is not a rewrite key, and
+    the groupings of a basis by end or start vertex are built on first use.
     """
 
     def __init__(self, pres: Presentation):
@@ -206,25 +204,22 @@ class GradedEngine:
         self._gens_by_tail: dict[int, list[int]] = {}
         for k, g in enumerate(pres.generators):
             self._gens_by_tail.setdefault(g.tail, []).append(k)
-        self._basis = [tuple(range(n))]
-        self._basis_set = [frozenset(range(n))]
-        self._by_end = [None]
-        self._by_start = [None]
-        self._rewrite: list[dict | None] = [{}]
-        b1 = tuple((k,) for k in range(len(pres.generators)))
-        self._basis.append(b1)
-        self._basis_set.append(frozenset(b1))
-        self._by_end.append(self._group(b1, by_end=True))
-        self._by_start.append(self._group(b1, by_end=False))
-        self._rewrite.append({})
+        self._basis = [tuple(range(n)),
+                       tuple((k,) for k in range(len(pres.generators)))]
+        self._rewrite: list[dict | None] = [{}, {}]
+        self._groups: dict = {}
         self._mul_cache: dict = {}
 
-    def _group(self, paths, by_end: bool):
-        gens = self.pres.generators
-        out: dict[int, list] = {}
-        for m in paths:
-            v = gens[m[0]].head if by_end else gens[m[-1]].tail
-            out.setdefault(v, []).append(m)
+    def _group(self, d: int, by_end: bool) -> dict:
+        """Degree-d basis paths (d >= 1) grouped by end or start vertex."""
+        out = self._groups.get((d, by_end))
+        if out is None:
+            gens = self.pres.generators
+            out = {}
+            for m in self._basis[d]:
+                v = gens[m[0]].head if by_end else gens[m[-1]].tail
+                out.setdefault(v, []).append(m)
+            self._groups[(d, by_end)] = out
         return out
 
     def path_end(self, m) -> int:
@@ -249,40 +244,31 @@ class GradedEngine:
         field = self.field
         gens = self.pres.generators
         gbt = self._gens_by_tail
-        zero, fadd, fmul = field.zero, field.add, field.mul
+        acc = field.acc
         cands = []
         for w in self._basis[d - 1]:
             for g in gbt.get(gens[w[0]].head, ()):
                 cands.append((g,) + w)
         cands.sort()
         ech = SparseRref(field, reduced=with_rewrite)
-        bset = self._basis_set[d - 1]
         rw = self._rewrite[d - 1]
-
-        def acc(row, key, val):
-            nv = fadd(row.get(key, zero), val)
-            if nv:
-                row[key] = nv
-            elif key in row:
-                del row[key]
 
         for rel in self.pres.relations:
             if d == 2:
-                row = {}
-                for c, b, a in rel.terms:
-                    acc(row, (b, a), c)
-                if row:
-                    ech.add_row(row)
+                ech.add_row({(b, a): c for c, b, a in rel.terms})
                 continue
-            for u in self._by_end[d - 2].get(rel.start, ()):
+            for u in self._group(d - 2, True).get(rel.start, ()):
                 row = {}
                 for c, b, a in rel.terms:
+                    # (a,) + u is a degree d-1 candidate: a basis path
+                    # unless it is a rewrite key
                     m = (a,) + u
-                    if m in bset:
+                    exp = rw.get(m)
+                    if exp is None:
                         acc(row, (b,) + m, c)
                     else:
-                        for w2, c2 in rw[m].items():
-                            acc(row, (b,) + w2, fmul(c, c2))
+                        for w2, c2 in exp.items():
+                            acc(row, (b,) + w2, c * c2)
                 if row:
                     ech.add_row(row)
 
@@ -300,9 +286,6 @@ class GradedEngine:
             self._rewrite[d] = rewrite
         else:
             self._basis.append(basis)
-            self._basis_set.append(frozenset(basis))
-            self._by_end.append(self._group(basis, by_end=True))
-            self._by_start.append(self._group(basis, by_end=False))
             self._rewrite.append(rewrite)
 
     def basis(self, d: int):
@@ -318,7 +301,7 @@ class GradedEngine:
         self._ensure(d, False)
         if d == 0:
             return (v,)
-        return tuple(self._by_start[d].get(v, ()))
+        return tuple(self._group(d, False).get(v, ()))
 
     def dims(self, d: int) -> list[list[int]]:
         n = len(self.pres.vertices)
@@ -355,27 +338,19 @@ class GradedEngine:
             out = {}
         else:
             m = (g,) + w
-            d1 = len(m)
-            self._ensure(d1, True)
-            if m in self._basis_set[d1]:
+            self._ensure(len(m), True)
+            out = self._rewrite[len(m)].get(m)
+            if out is None:
                 out = {m: self.field.one}
-            else:
-                out = self._rewrite[d1][m]
         self._mul_cache[key] = out
         return out
 
     def left_mul(self, g: int, vec: dict, d: int) -> dict:
         """Left-multiply a degree-d coordinate vector by generator g, in
         degree d+1 coordinates. Degree-0 vectors are keyed by vertex index."""
-        field = self.field
         out: dict = {}
         for w, c in vec.items():
-            for m, c2 in self.left_mul_path(g, w).items():
-                nv = field.add(out.get(m, field.zero), field.mul(c, c2))
-                if nv:
-                    out[m] = nv
-                elif m in out:
-                    del out[m]
+            self.field.row_axpy(out, c, self.left_mul_path(g, w))
         return out
 
     def normal_form(self, path) -> dict:
@@ -394,11 +369,6 @@ class GradedEngine:
             if not vec:
                 return {}
         return vec
-
-
-def graded_dimension(p: Presentation, d: int,
-                     engine: GradedEngine | None = None) -> list[list[int]]:
-    return (engine or GradedEngine(p)).dims(d)
 
 
 def hilbert_series(p: Presentation, N: int,

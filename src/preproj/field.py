@@ -42,14 +42,6 @@ class FieldSpec:
         self.p = p
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime_field(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Parse 'q' or 'f<p>' (e.g. 'f2', 'f7')."""
         t = text.strip().lower()
@@ -104,11 +96,17 @@ class FieldSpec:
             return Fraction(1) / a
         return pow(a, -1, self.p)
 
-    def mul(self, a, b):
-        return a * b if self.p is None else a * b % self.p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+    def acc(self, row: dict, key, val) -> None:
+        """row[key] += val, reduced into the field, dropping a zero result.
+        Mutates row. val may be an unreduced product of field elements."""
+        old = row.get(key)
+        nv = val if old is None else old + val
+        if self.p is not None:
+            nv %= self.p
+        if nv:
+            row[key] = nv
+        elif old is not None:
+            del row[key]
 
     def row_axpy(self, dst: dict, c, src: dict) -> None:
         """dst += c * src, dropping zero entries. Mutates dst."""
@@ -138,7 +136,7 @@ class FieldSpec:
                 row[k] = row[k] * c % p
 
 
-QQ = FieldSpec.rationals()
+QQ = FieldSpec()
 
 
 class SparseRref:

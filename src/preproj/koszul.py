@@ -93,58 +93,32 @@ def koszul_complex_kernel(p: Presentation, N: int,
     ][:N + 1] + [[[0] * n for _ in range(n)] for _ in range(max(0, N - 2))])
     hK = sub(mul(hA, poly), identity_series(n, N))
 
-    erows = relation_space_rows(p)
-    # column store per relation-space row: x -> column over keys (a, w),
-    # extended one degree at a time by left multiplication
-    base = []
-    for row in erows:
+    # one degree-2 generator per relation-space row, vertex end and root
+    # start, whose column over keys (a, w) is extended one degree at a time
+    # by left multiplication
+    rels = []
+    for row in relation_space_rows(p):
         b0, a0 = next(iter(row))
-        end_v = gens[b0].head
-        start_v = gens[a0].tail
-        col = {}
-        for (b, a), c in row.items():
-            col[(a, (b,))] = c
-        base.append((end_v, start_v, col))
-    prev: list[dict] = [{} for _ in erows]
+        rels.append(_Gen(gens[b0].head, gens[a0].tail, 2,
+                         {(a, (b,)): c for (b, a), c in row.items()}))
 
     def block_of_key(key):
         a, w = key
         return engine.path_end(w), gens[a].tail
 
     mats = []
+    cols: dict = {}
     for d in range(N + 1):
         if d < 2:
             mats.append([[0] * n for _ in range(n)])
             continue
-        ncols = [[0] * n for _ in range(n)]
+        cols = _extend_columns(engine, rels, d, cols)
+        K = [[0] * n for _ in range(n)]
         ech = SparseRref(field, reduced=False)
-        for ei, (end_v, start_v, bcol) in enumerate(base):
-            level = {}
-            if d == 2:
-                level[end_v] = bcol
-            else:
-                pv = prev[ei]
-                for x in engine.basis_by_start(d - 2, end_v):
-                    parent = pv[x[1:] if len(x) > 1 else end_v]
-                    y = x[0]
-                    col: dict = {}
-                    for (a, w), c in parent.items():
-                        for w2, c2 in engine.left_mul_path(y, w).items():
-                            key = (a, w2)
-                            nv = field.add(col.get(key, field.zero),
-                                           field.mul(c, c2))
-                            if nv:
-                                col[key] = nv
-                            elif key in col:
-                                del col[key]
-                    level[x] = col
-            prev[ei] = level
-            for x, col in level.items():
-                xe = end_v if isinstance(x, int) else engine.path_end(x)
-                ncols[xe][start_v] += 1
-                if col:
-                    ech.add_row(dict(col))
-        K = ncols
+        for (k, x), col in cols.items():
+            K[engine.path_end(x)][rels[k].root] += 1
+            if col:
+                ech.add_row(col)
         piv = _block_counts(n, ech.rows.keys(), block_of_key)
         for i in range(n):
             for j in range(n):
@@ -211,7 +185,7 @@ def _extend_columns(engine, gens_list, d, prev):
     gens_list, keyed (k, x); built from the degree d-1 columns in prev.
     The trivial x is keyed by the vertex index and carries the generator's
     own vector."""
-    field = engine.field
+    acc = engine.field.acc
     cols = {}
     for k, g in enumerate(gens_list):
         e = d - g.degree
@@ -226,13 +200,7 @@ def _extend_columns(engine, gens_list, d, prev):
             col: dict = {}
             for (m, w), c in parent.items():
                 for w2, c2 in engine.left_mul_path(y, w).items():
-                    key = (m, w2)
-                    nv = field.add(col.get(key, field.zero),
-                                   field.mul(c, c2))
-                    if nv:
-                        col[key] = nv
-                    elif key in col:
-                        del col[key]
+                    acc(col, (m, w2), c * c2)
             cols[(k, x)] = col
     return cols
 

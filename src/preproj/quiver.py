@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, SparseRref
-
 
 class QuiverError(ValueError):
     pass
@@ -458,67 +456,3 @@ def _find_cycle(vertices, adj) -> list[str] | None:
         pos[nxt] = len(walk)
         walk.append(nxt)
         prev, cur = cur, nxt
-
-
-def spectral_class(q: Quiver) -> str:
-    """ADE trichotomy via exact spectral data of C = adjacency_double:
-    Dynkin iff the top eigenvalue is < 2 (2I - C positive definite, checked
-    by leading principal minors), ExtendedDynkin iff it is exactly 2
-    (singular 2I - C with a strictly positive kernel vector). Connected
-    quivers only."""
-    if not _is_connected(q):
-        raise QuiverError("spectral_class needs a connected quiver")
-    C = adjacency_double(q)
-    n = len(C)
-    M = [[(2 if i == j else 0) - C[i][j] for j in range(n)] for i in range(n)]
-    minors_positive = True
-    for k in range(1, n + 1):
-        if _det([row[:k] for row in M[:k]]) <= 0:
-            minors_positive = False
-            break
-    if minors_positive:
-        return DYNKIN
-    ker = _kernel_vector(M)
-    if ker is not None and all(x > 0 for x in ker):
-        return EXTENDED
-    return OTHER
-
-
-def _det(rows) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                for cc in range(c, n):
-                    a[r][cc] -= f * a[c][cc]
-    return det
-
-
-def _kernel_vector(rows) -> list[Fraction] | None:
-    """A nonzero kernel vector of a rational matrix, or None if injective."""
-    n = len(rows)
-    ech = SparseRref(QQ, reduced=True)
-    for row in rows:
-        d = {j: Fraction(v) for j, v in enumerate(row) if v}
-        if d:
-            ech.add_row(d)
-    free = [j for j in range(n) if j not in ech.rows]
-    if not free:
-        return None
-    j0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[j0] = Fraction(1)
-    for piv, row in ech.rows.items():
-        vec[piv] = -row.get(j0, Fraction(0))
-    return vec

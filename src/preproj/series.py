@@ -220,14 +220,28 @@ def to_json_obj(s: MatrixSeries) -> list:
 
 
 def from_json_obj(obj) -> MatrixSeries:
-    if not obj:
+    """Inverse of to_json_obj. Raises ValueError unless the degrees are
+    exactly 0..N, each once, and every matrix is a list of lists of ints."""
+    if not isinstance(obj, list) or not obj:
         raise ValueError("empty series")
-    mats = [None] * len(obj)
+    mats = {}
     for item in obj:
-        mats[item["degree"]] = item["matrix"]
-    if any(m is None for m in mats):
-        raise ValueError("missing degrees")
-    return MatrixSeries(len(mats[0]), mats)
+        d = item.get("degree") if isinstance(item, dict) else None
+        if type(d) is not int or d < 0:
+            raise ValueError("degree %r is not a nonnegative int" % (d,))
+        if d in mats:
+            raise ValueError("duplicate degree %d" % d)
+        m = item.get("matrix")
+        if not (isinstance(m, list) and all(
+                isinstance(r, list) and all(type(x) is int for x in r)
+                for r in m)):
+            raise ValueError(
+                "matrix of degree %d is not a list of lists of ints" % d)
+        mats[d] = m
+    for d in range(len(obj)):
+        if d not in mats:
+            raise ValueError("missing degree %d" % d)
+    return MatrixSeries(len(mats[0]), [mats[d] for d in range(len(obj))])
 
 
 def to_json(s: MatrixSeries) -> str:

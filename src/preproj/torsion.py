@@ -8,7 +8,8 @@ elementary divisor outside {0, 1} is torsion in the cokernel, i.e. a graded
 piece whose dimension jumps when the coefficients are reduced mod p.
 
 Every run cross-checks the divisor counts against graded dimensions
-computed independently over the rationals and over small prime fields.
+computed independently over the rationals and over GF(p), for the given
+primes and for every prime that divides an elementary divisor.
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,6 @@ __all__ = [
     "TorsionError",
     "torsion_check",
 ]
-
-_FACTOR_BOUND = 100
-
 
 class TorsionError(ValueError):
     pass
@@ -46,17 +44,9 @@ def _xgcd(a: int, b: int):
 
 
 def _comb(c1: int, r1: dict, c2: int, r2: dict) -> dict:
-    out = {}
-    for k, v in r1.items():
-        w = c1 * v
-        if w:
-            out[k] = w
-    for k, v in r2.items():
-        w = out.get(k, 0) + c2 * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
+    out: dict = {}
+    QQ.row_axpy(out, c1, r1)
+    QQ.row_axpy(out, c2, r2)
     return out
 
 
@@ -87,17 +77,18 @@ def _lattice_insert(pivots: dict, row: dict) -> None:
         row = _comb(a // g, row, -(v // g), piv)
 
 
-def _small_prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
     n = abs(n)
     out = []
     p = 2
-    while p <= _FACTOR_BOUND and p * p <= n:
+    while p * p <= n:
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
         p += 1
-    if 1 < n <= _FACTOR_BOUND:
+    if n > 1:
         out.append(n)
     return out
 
@@ -179,16 +170,8 @@ def _placement_rows(paths, rels, d: int, i: int, j: int, col_index: dict):
                 continue
             for p in left:
                 for u in right:
-                    row = {}
-                    for c, b, a in terms:
-                        key = col_index[p + (b, a) + u]
-                        w = row.get(key, 0) + c
-                        if w:
-                            row[key] = w
-                        else:
-                            row.pop(key, None)
-                    if row:
-                        yield row
+                    # the terms' pairs (b, a) are distinct, so are the keys
+                    yield {col_index[p + (b, a) + u]: c for c, b, a in terms}
 
 
 def _count_rows(paths, rels, d: int, i: int, j: int) -> int:
@@ -273,7 +256,8 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
                 for c, v in row.items():
                     m.entries[(r, c)] = v
             divs = smith_normal_form(m)
-            assert all(divs), "lattice basis rows must be independent"
+            if not all(divs):
+                raise AssertionError("lattice basis rows must be independent")
             rank_q = len(divs)
             divs = divs + [0] * (min(nrows, len(cols)) - rank_q)
             entries.append(BlockReport(d, i, j, tuple(divs), False, rank_q, ()))
@@ -281,7 +265,7 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
             for dv in divs:
                 if dv not in (0, 1):
                     witnesses.append((d, i, j, dv))
-                    div_primes.update(_small_prime_factors(dv))
+                    div_primes.update(_prime_factors(dv))
 
     check_primes = sorted(set(primes) | div_primes)
     _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes)
@@ -291,7 +275,7 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
 
 
 def _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes):
-    """Assert #paths - rank == graded dimension, over the rationals and
+    """Check #paths - rank == graded dimension, over the rationals and
     over GF(p) for every checked prime, on every degree and block."""
     series_by = {None: GradedEngine(preprojective_presentation(q, QQ)).series(N)}
     for p in check_primes:
@@ -330,11 +314,16 @@ def _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes):
         for (i, j), cols in paths[d].items():
             npaths = len(cols)
             rq = rank_q_at.get((d, i, j), 0)
-            assert series_by[None][d][i][j] == npaths - rq, \
-                "rational dimension mismatch at degree %d block (%d,%d)" % (d, i, j)
+            if series_by[None][d][i][j] != npaths - rq:
+                raise AssertionError(
+                    "rational dimension mismatch at degree %d block (%d,%d)"
+                    % (d, i, j))
             for p in check_primes:
                 rp = rank_p_full[(d, i, j, p)] if (d, i, j) in rank_q_at else 0
-                assert rp <= rq, "rank over GF(%d) exceeds rational rank" % p
-                assert series_by[p][d][i][j] == npaths - rp, \
-                    "GF(%d) dimension mismatch at degree %d block (%d,%d)" % (
-                        p, d, i, j)
+                if rp > rq:
+                    raise AssertionError(
+                        "rank over GF(%d) exceeds rational rank" % p)
+                if series_by[p][d][i][j] != npaths - rp:
+                    raise AssertionError(
+                        "GF(%d) dimension mismatch at degree %d block (%d,%d)"
+                        % (p, d, i, j))

@@ -151,3 +151,75 @@ def random_quiver(rng, max_vertices=3, max_arrows=3, allow_white=True):
               for k in range(na)]
     white = [v for v in vs if allow_white and rng.random() < 0.35]
     return Quiver(vs, arrows, white)
+
+
+def spectral_class(q):
+    """ADE trichotomy via exact spectral data of C = adjacency_double:
+    Dynkin iff the top eigenvalue is < 2 (2I - C positive definite, checked
+    by leading principal minors), ExtendedDynkin iff it is exactly 2
+    (singular 2I - C with a strictly positive kernel vector). Connected
+    quivers only."""
+    from preproj.quiver import (DYNKIN, EXTENDED, OTHER, QuiverError,
+                                _is_connected, adjacency_double)
+
+    if not _is_connected(q):
+        raise QuiverError("spectral_class needs a connected quiver")
+    C = adjacency_double(q)
+    n = len(C)
+    M = [[(2 if i == j else 0) - C[i][j] for j in range(n)] for i in range(n)]
+    if all(_det([row[:k] for row in M[:k]]) > 0 for k in range(1, n + 1)):
+        return DYNKIN
+    ker = _kernel_vector(M)
+    if ker is not None and all(x > 0 for x in ker):
+        return EXTENDED
+    return OTHER
+
+
+def _det(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] * inv
+                for cc in range(c, n):
+                    a[r][cc] -= f * a[c][cc]
+    return det
+
+
+def _kernel_vector(rows):
+    """A nonzero kernel vector of a rational matrix, or None if injective:
+    dense reduced row echelon form, then the first free column set to 1."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a[0]) if a else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(a)) if a[k][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    free = [j for j in range(n) if j not in pivots]
+    if not free:
+        return None
+    vec = [Fraction(0)] * n
+    vec[free[0]] = Fraction(1)
+    for k, c in enumerate(pivots):
+        vec[c] = -a[k][free[0]]
+    return vec

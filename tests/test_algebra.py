@@ -13,7 +13,6 @@ from preproj.algebra import (
     count_avoiding_paths,
     free_product,
     generator_matrix,
-    graded_dimension,
     hilbert_series,
     preprojective_presentation,
     relation_dim_matrix,
@@ -238,7 +237,7 @@ def test_dims_independent_of_build_order():
     a.series(6)
     b = GradedEngine(p)
     assert b.dims(6) == a.dims(6)
-    assert graded_dimension(p, 6) == a.dims(6)
+    assert GradedEngine(p).dims(6) == a.dims(6)
 
 
 def test_basis_by_start_partitions_basis():

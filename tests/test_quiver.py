@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import spectral_class
 from preproj.quiver import (
     Arrow,
     DYNKIN,
@@ -16,7 +17,6 @@ from preproj.quiver import (
     find_extended_dynkin_subquiver,
     parse_quiver,
     relation_count_matrix,
-    spectral_class,
 )
 
 

@@ -211,3 +211,27 @@ def test_json_round_trip():
         s = rand_series(rng, rng.randint(1, 3), rng.randint(0, 5))
         assert from_json_obj(json.loads(to_json(s))) == s
         assert from_json_obj(to_json_obj(s)) == s
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([{"degree": 0, "matrix": [[1]]}, {"degree": -1, "matrix": [[7]]}],
+     "nonnegative"),
+    ([{"degree": 0, "matrix": [[1]]}, {"degree": 0, "matrix": [[1]]}],
+     "duplicate degree 0"),
+    ([{"degree": 0, "matrix": [[1]]}, {"degree": 2, "matrix": [[4]]}],
+     "missing degree 1"),
+    ([{"degree": "0", "matrix": [[1]]}], "nonnegative int"),
+    ([{"degree": 1.0, "matrix": [[1]]}], "nonnegative int"),
+    ([{"degree": True, "matrix": [[1]]}], "nonnegative int"),
+    ([{"matrix": [[1]]}], "nonnegative int"),
+    ([{"degree": 0, "matrix": 1}], "not a list of lists"),
+    ([{"degree": 0, "matrix": [1]}], "not a list of lists"),
+    ([{"degree": 0}], "not a list of lists"),
+    ([{"degree": 0, "matrix": [["x"]]}], "not a list of lists of ints"),
+    ([{"degree": 0, "matrix": [[1.5]]}], "not a list of lists of ints"),
+    ({"degree": 0, "matrix": [[1]]}, "empty series"),
+    ([], "empty series"),
+])
+def test_from_json_obj_rejects_malformed(obj, message):
+    with pytest.raises(ValueError, match=message):
+        from_json_obj(obj)

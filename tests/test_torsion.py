@@ -1,12 +1,17 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import preproj
 from preproj.field import ExactMatrix, smith_normal_form
 from preproj.quiver import Arrow, Quiver
 from preproj.torsion import (
     TorsionError,
     _lattice_insert,
+    _prime_factors,
     torsion_check,
 )
 
@@ -164,3 +169,46 @@ def test_divisor_padding_counts_zero_divisors():
     assert e.rank_q == 5
     for e in rep.entries:
         assert sum(1 for d in e.divisors if d == 0) == len(e.divisors) - e.rank_q
+
+
+def test_prime_factors_is_complete():
+    assert _prime_factors(1) == []
+    assert _prime_factors(12) == [2, 3]
+    assert _prime_factors(-202) == [2, 101]
+    assert _prime_factors(101 * 103) == [101, 103]
+    assert _prime_factors(2 ** 5 * 10007) == [2, 10007]
+
+
+# A~1 with the rational series raised by one at degree 3 entry (0, 1): the
+# cross-check must reject it even when python -O strips assert statements.
+FAULT_SCRIPT = """
+import sys
+from preproj.algebra import GradedEngine
+from preproj.quiver import Arrow, Quiver
+from preproj.torsion import torsion_check
+
+series = GradedEngine.series
+
+def faulty(self, N):
+    s = series(self, N)
+    if self.field.p is None:
+        s.coeffs[3][0][1] += 1
+    return s
+
+GradedEngine.series = faulty
+q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+try:
+    torsion_check(q, 5)
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+
+
+def test_cross_check_survives_python_O():
+    src = Path(preproj.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-O", "-c", FAULT_SCRIPT],
+                         capture_output=True, text=True, timeout=120,
+                         env={"PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "1 rational dimension mismatch at degree 3 block (0,1)")
