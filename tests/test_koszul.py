@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bruteforce import random_presentation
+from test_acceptance import all_star_combos, extended_dynkin_five, wild_pair
 from preproj.algebra import (
     GradedEngine,
     Generator,
@@ -14,6 +15,7 @@ from preproj.algebra import (
 )
 from preproj.field import QQ, FieldSpec
 from preproj.koszul import (
+    _koszul_complex_tor,
     golod_shafarevich_check,
     koszul_complex_kernel,
     koszulity_verdict,
@@ -23,6 +25,7 @@ from preproj.quiver import Arrow, Quiver
 from preproj.series import MatrixSeries, add, identity_series, mul, sub
 
 GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 
 
 def loop_pres(field=QQ):
@@ -198,3 +201,80 @@ def test_tor_gf2_agrees_with_rationals_on_koszul_cases():
         tq = tor_dimensions(make(QQ), i_max=2, d_max=5)
         tp = tor_dimensions(make(GF2), i_max=2, d_max=5)
         assert tq.entries == tp.entries
+
+
+def acceptance_battery():
+    """The 92 quivers of acceptance criterion 4."""
+    non_star = Quiver(["1", "2", "3", "4"],
+                      [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                       Arrow("c", "3", "4"), Arrow("d", "4", "1")],
+                      white=["1"])
+    return (extended_dynkin_five() + list(all_star_combos()) + [non_star]
+            + list(wild_pair()))
+
+
+def test_routes_agree_on_acceptance_battery():
+    battery = acceptance_battery()
+    assert len(battery) == 92
+    for field in (QQ, GF3):
+        for q in battery:
+            pres = preprojective_presentation(q, field)
+            engine = GradedEngine(pres)
+            v = koszulity_verdict(pres, N=6, i_max=3, d_max=6, engine=engine)
+            assert v.method == "koszul-complex", (q.arrows, q.white)
+            assert v.tor.partial == ()
+            assert v.tor == tor_dimensions(pres, i_max=3, d_max=6,
+                                           engine=engine), (q.arrows, q.white)
+
+
+def test_routes_agree_on_random_presentations():
+    rng = random.Random(4242)
+    routes = {"koszul-complex": 0, "syzygy": 0}
+    draws = 0
+    while draws < 150:
+        pres = random_presentation(rng)
+        if pres is None:
+            continue
+        draws += 1
+        engine = GradedEngine(pres)
+        v = koszulity_verdict(pres, N=6, i_max=4, d_max=6, engine=engine)
+        matches = engine.series(6) == golod_shafarevich_check(
+            pres, 6, engine).closed
+        assert v.method == ("koszul-complex" if matches else "syzygy")
+        routes[v.method] += 1
+        assert v.tor == tor_dimensions(pres, i_max=4, d_max=6,
+                                       engine=engine), pres.relations
+    # the seed draws both routes
+    assert min(routes.values()) > 20, routes
+
+
+def test_koszul_complex_route_with_series_degree_apart_from_d_max():
+    for N, d_max in ((3, 6), (6, 3)):
+        pres = cycle3_pres()
+        v = koszulity_verdict(pres, N=N, i_max=3, d_max=d_max)
+        assert v.method == "koszul-complex"
+        assert v.gs.N == N and v.gs.series == hilbert_series(pres, N)
+        assert v.tor == tor_dimensions(pres, i_max=3, d_max=d_max)
+
+
+def test_series_matching_only_below_d_max_takes_syzygy():
+    # A_2 matches the closed form through degree 2 but not through 5, so
+    # the Tor table must come from the resolution, exactly as before
+    pres = a2_pres()
+    v = koszulity_verdict(pres, N=2, i_max=3, d_max=5)
+    assert v.method == "syzygy"
+    assert v.gs.equality
+    assert v.tor == tor_dimensions(pres, i_max=3, d_max=5)
+    assert v.tor.matrix(2, 2) == [[1, 0], [0, 1]]
+    assert v.witnesses == ()
+    assert v.koszul and v.complete
+    assert koszulity_verdict(pres, N=8, i_max=3, d_max=5).method == "syzygy"
+
+
+def test_koszul_complex_tor_raises_on_nonzero_kernel():
+    # A_2's kernel is nonzero from degree 3 on, so its Tor table cannot be
+    # read off the Koszul complex there
+    with pytest.raises(AssertionError, match="nonzero at degree 3"):
+        _koszul_complex_tor(a2_pres(), 3, 5)
+    t = _koszul_complex_tor(a2_pres(), 3, 2)
+    assert t == tor_dimensions(a2_pres(), i_max=3, d_max=2)
