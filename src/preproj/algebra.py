@@ -192,9 +192,10 @@ class GradedEngine:
     degree computed in forward-only mode (cheaper, used for a final degree)
     has no rewrite table and is rebuilt on demand.
 
-    Each degree stores its basis tuple and its rewrite table, nothing else.
-    A candidate is a basis path exactly when it is not a rewrite key, and
-    the groupings of a basis by end or start vertex are built on first use.
+    Each degree stores its basis tuple, its rewrite table and its dims
+    matrix, nothing else. A candidate is a basis path exactly when it is not
+    a rewrite key, and the groupings of a basis by end or start vertex are
+    built on first use.
     """
 
     def __init__(self, pres: Presentation):
@@ -207,6 +208,8 @@ class GradedEngine:
         self._basis = [tuple(range(n)),
                        tuple((k,) for k in range(len(pres.generators)))]
         self._rewrite: list[dict | None] = [{}, {}]
+        self._dims = [[[int(i == j) for j in range(n)] for i in range(n)],
+                      generator_matrix(pres)]
         self._groups: dict = {}
         self._mul_cache: dict = {}
 
@@ -224,12 +227,6 @@ class GradedEngine:
 
     def path_end(self, m) -> int:
         return m if isinstance(m, int) else self.pres.generators[m[0]].head
-
-    def path_start(self, m) -> int:
-        return m if isinstance(m, int) else self.pres.generators[m[-1]].tail
-
-    def computed_degree(self) -> int:
-        return len(self._basis) - 1
 
     def _ensure(self, d: int, need_rewrite: bool) -> None:
         if d <= 1:
@@ -285,8 +282,13 @@ class GradedEngine:
                 raise AssertionError("degree %d basis changed on rebuild" % d)
             self._rewrite[d] = rewrite
         else:
+            n = len(self.pres.vertices)
+            M = [[0] * n for _ in range(n)]
+            for m in basis:
+                M[gens[m[0]].head][gens[m[-1]].tail] += 1
             self._basis.append(basis)
             self._rewrite.append(rewrite)
+            self._dims.append(M)
 
     def basis(self, d: int):
         """Degree-d basis paths (vertex indices at d=0), lexicographic."""
@@ -304,15 +306,10 @@ class GradedEngine:
         return tuple(self._group(d, False).get(v, ()))
 
     def dims(self, d: int) -> list[list[int]]:
-        n = len(self.pres.vertices)
-        if d == 0:
-            return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        """Degree-d dims matrix (a fresh copy of the count stored when the
+        degree was built)."""
         self._ensure(d, False)
-        gens = self.pres.generators
-        M = [[0] * n for _ in range(n)]
-        for m in self._basis[d]:
-            M[gens[m[0]].head][gens[m[-1]].tail] += 1
-        return M
+        return [list(row) for row in self._dims[d]]
 
     def series(self, N: int) -> MatrixSeries:
         """Dims to degree N; the final degree runs in forward-only mode."""

@@ -265,13 +265,8 @@ def main(argv=None) -> int:
                         args.degree, args.imax, args.dmax, args.format,
                         args.seed)
         return _COMMANDS[cfg.command](cfg)
-    except (QuiverError, AlgebraError, FieldError, TorsionError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as e:
+    except (QuiverError, AlgebraError, FieldError, TorsionError, OSError,
+            UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

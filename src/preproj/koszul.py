@@ -6,15 +6,17 @@ degree-2-relations complex, and graded Tor tables read off a minimal free
 resolution built degree by degree. Everything is exact; every cross-check
 between independent computation routes is a hard assertion.
 
-The verdict takes one of two routes. For a quadratic algebra the complex
-0 -> A(x)R -> A(x)V -> A -> k is always exact at A(x)V and at A, so when the
-series equals 1/(1-Ct+Dt^2) through degree d the kernel at A(x)R vanishes
-through d, the complex is a linear minimal resolution there, and it forces
-Tor_0 = I, Tor_1 = C, Tor_2 = D and 0 elsewhere (Priddy; Polishchuk-
-Positselski, ch. 1-2). Route "koszul-complex" checks that kernel by explicit
-column ranks and reads the Tor table off (C, D). Otherwise route "syzygy"
-builds the minimal resolution stage by stage; only this route has a Tor
-column cap.
+There is one resolution. For a quadratic algebra the complex
+A(x)R -> A(x)V -> A -> k is always exact at A(x)V and at A (Polishchuk-
+Positselski, ch. 1-2), so its first three stages are a minimal resolution
+as far as they go: Tor_0 = I, Tor_1 = C and Tor_2 = D, each in degree i
+only, with the relation-space rows as the stage-2 generators. The search
+for minimal syzygies starts at stage 3, whose kernel is exactly the kernel
+of A(x)R -> A(x)V; its graded dims are checked block by block against
+h_A(1-Ct+Dt^2)-1. When that kernel vanishes through d_max (the series
+equals 1/(1-Ct+Dt^2) there) the Tor table is the Koszul complex's, and the
+verdict's method reads "koszul-complex"; when stage 3 or later finds a
+generator or the Tor column cap leaves a cell partial, it reads "syzygy".
 """
 
 from __future__ import annotations
@@ -72,14 +74,6 @@ def golod_shafarevich_check(p: Presentation, N: int,
                     h, cf)
 
 
-def _block_counts(n: int, keys, block_of) -> list[list[int]]:
-    M = [[0] * n for _ in range(n)]
-    for k in keys:
-        i, j = block_of(k)
-        M[i][j] += 1
-    return M
-
-
 def koszul_complex_kernel(p: Presentation, N: int,
                           engine: GradedEngine | None = None) -> MatrixSeries:
     """Graded dims of the kernel of A(x)E -> A(x)V, x(x)e -> sum c (x b)(x)a.
@@ -90,57 +84,14 @@ def koszul_complex_kernel(p: Presentation, N: int,
     hard assertion.
     """
     engine = engine or GradedEngine(p)
-    field = p.field
     n = len(p.vertices)
-    gens = p.generators
-    hA = engine.series(N)
-    C = generator_matrix(p)
-    D = relation_dim_matrix(p)
-    poly = MatrixSeries(n, [
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        [[-C[i][j] for j in range(n)] for i in range(n)],
-        D,
-    ][:N + 1] + [[[0] * n for _ in range(n)] for _ in range(max(0, N - 2))])
-    hK = sub(mul(hA, poly), identity_series(n, N))
-
-    # one degree-2 generator per relation-space row, vertex end and root
-    # start, whose column over keys (a, w) is extended one degree at a time
-    # by left multiplication
-    rels = []
-    for row in relation_space_rows(p):
-        b0, a0 = next(iter(row))
-        rels.append(_Gen(gens[b0].head, gens[a0].tail, 2,
-                         {(a, (b,)): c for (b, a), c in row.items()}))
-
-    def block_of_key(key):
-        a, w = key
-        return engine.path_end(w), gens[a].tail
-
-    mats = []
+    hK = _kernel_series(p, N, engine)
+    rels = _relation_gens(p)
+    mats = [[[0] * n for _ in range(n)] for _ in range(min(N + 1, 2))]
     cols: dict = {}
-    for d in range(N + 1):
-        if d < 2:
-            mats.append([[0] * n for _ in range(n)])
-            continue
-        cols = _extend_columns(engine, rels, d, cols)
-        K = [[0] * n for _ in range(n)]
-        ech = SparseRref(field, reduced=False)
-        for (k, x), col in cols.items():
-            K[engine.path_end(x)][rels[k].root] += 1
-            if col:
-                ech.add_row(col)
-        piv = _block_counts(n, ech.rows.keys(), block_of_key)
-        for i in range(n):
-            for j in range(n):
-                K[i][j] -= piv[i][j]
-        if K != hK[d]:
-            raise AssertionError(
-                "kernel dims disagree at degree %d: ranks %r, series %r"
-                % (d, K, hK[d]))
+    for d in range(2, N + 1):
+        cols, _, K = _kernel_degree(engine, rels, d, cols, expect=hK)
         mats.append(K)
-    ok, w = is_termwise_nonnegative(hK)
-    if not ok:
-        raise AssertionError("negative kernel dimension at %r" % (w,))
     return MatrixSeries(n, mats)
 
 
@@ -156,6 +107,37 @@ class _Gen:
         self.root = root
         self.degree = degree
         self.vector = vector
+
+
+def _relation_gens(p: Presentation) -> list[_Gen]:
+    """The stage-2 generators: one per relation-space row, at the row's end
+    vertex and root start, whose vector over stage-1 keys (a, (b,)) is the
+    row itself."""
+    gens = p.generators
+    out = []
+    for row in relation_space_rows(p):
+        b0, a0 = next(iter(row))
+        out.append(_Gen(gens[b0].head, gens[a0].tail, 2,
+                        {(a, (b,)): c for (b, a), c in row.items()}))
+    return out
+
+
+def _kernel_series(p: Presentation, N: int,
+                   engine: GradedEngine) -> MatrixSeries:
+    """h_A(1-Ct+Dt^2)-1 through degree N: the graded dims that the kernel of
+    A(x)R -> A(x)V must have. Raises unless termwise nonnegative."""
+    n = len(p.vertices)
+    C = generator_matrix(p)
+    poly = MatrixSeries(n, [
+        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+        [[-C[i][j] for j in range(n)] for i in range(n)],
+        relation_dim_matrix(p),
+    ][:N + 1] + [[[0] * n for _ in range(n)] for _ in range(max(0, N - 2))])
+    hK = sub(mul(engine.series(N), poly), identity_series(n, N))
+    ok, w = is_termwise_nonnegative(hK)
+    if not ok:
+        raise AssertionError("negative kernel dimension at %r" % (w,))
+    return hK
 
 
 @dataclass(frozen=True)
@@ -185,16 +167,11 @@ class TorTable:
         return not self.concentration_witnesses()
 
 
-def _tag_key(tag):
-    k, x = tag
-    return (k, x if isinstance(x, tuple) else ())
-
-
 def _extend_columns(engine, gens_list, d, prev):
     """Columns x . f_k at internal degree d for every generator in
     gens_list, keyed (k, x); built from the degree d-1 columns in prev.
     The trivial x is keyed by the vertex index and carries the generator's
-    own vector."""
+    own vector. Keys come out in ascending (k, x) order."""
     acc = engine.field.acc
     cols = {}
     for k, g in enumerate(gens_list):
@@ -215,10 +192,33 @@ def _extend_columns(engine, gens_list, d, prev):
     return cols
 
 
-def _syzygy_stage(engine, gens_prev, d_min, d_max, cap):
+def _kernel_degree(engine, gens_list, d, prev, cap=None, expect=None):
+    """One internal degree of the map off gens_list: its columns (see
+    _extend_columns), their untracked echelon, and the kernel dims block by
+    block, where a column counts when it reduces to zero. Returns
+    (cols, ech, K); ech and K are None when there are more than cap
+    columns. With expect, raises unless K equals expect[d]."""
+    cols = _extend_columns(engine, gens_list, d, prev)
+    if cap is not None and len(cols) > cap:
+        return cols, None, None
+    n = len(engine.pres.vertices)
+    K = [[0] * n for _ in range(n)]
+    ech = SparseRref(engine.field, reduced=False)
+    for (k, x), col in cols.items():
+        if not col or ech.add_row(col)[0] is None:
+            K[engine.path_end(x)][gens_list[k].root] += 1
+    if expect is not None and K != expect[d]:
+        raise AssertionError(
+            "kernel dims disagree at degree %d: ranks %r, series %r"
+            % (d, K, expect[d]))
+    return cols, ech, K
+
+
+def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
     """Minimal generators of the kernel of the map off gens_prev, found per
     internal degree <= d_max. Returns (new_gens, tor: d -> matrix,
-    partial_from: degree where the cap stopped work, or None)."""
+    partial_from: degree where the cap stopped work, or None). With expect,
+    the kernel dims are checked against expect in every degree reached."""
     field = engine.field
     n = len(engine.pres.vertices)
     root_of = [g.root for g in gens_prev]
@@ -227,31 +227,24 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap):
     prev_diff: dict = {}
     prev_old: dict = {}
     for d in range(d_min, d_max + 1):
-        cols = _extend_columns(engine, gens_prev, d, prev_diff)
+        cols, ech, K = _kernel_degree(engine, gens_prev, d, prev_diff, cap,
+                                      expect)
         prev_diff = cols
-        oldcols = _extend_columns(engine, new_gens, d, prev_old)
-        prev_old = oldcols
-        if len(cols) > cap or len(oldcols) > cap:
+        if ech is None:
             return new_gens, tor, d
-        order = sorted(cols, key=_tag_key)
-        ech = SparseRref(field, reduced=False)
-        for tag in order:
-            if cols[tag]:
-                ech.add_row(cols[tag])
-        kdim = len(cols) - ech.rank
-        old_ech = SparseRref(field, reduced=False)
-        for tag in sorted(oldcols, key=_tag_key):
-            if oldcols[tag]:
-                old_ech.add_row(oldcols[tag])
-        new_count = kdim - old_ech.rank
+        prev_old, old_ech, _ = _kernel_degree(engine, new_gens, d, prev_old,
+                                              cap)
+        if old_ech is None:
+            return new_gens, tor, d
+        new_count = len(cols) - ech.rank - old_ech.rank
         if new_count < 0:
             raise AssertionError("syzygy span exceeds kernel at degree %d" % d)
         M = [[0] * n for _ in range(n)]
         if new_count:
             tracked = SparseRref(field, reduced=False, track=True)
             kers = []
-            for tag in order:
-                piv, hist = tracked.add_row(cols[tag], tag=tag)
+            for tag, col in cols.items():
+                piv, hist = tracked.add_row(col, tag=tag)
                 if piv is None:
                     kers.append(hist)
             found = 0
@@ -281,55 +274,49 @@ def tor_dimensions(p: Presentation, i_max: int = 3, d_max: int = 8,
     """Graded Tor dims from a minimal free resolution of the vertex ring by
     free left modules, built stage by stage.
 
-    Stage 0 and stage 1 are exact by construction (the augmentation's kernel
-    is generated by the degree-1 generators); higher stages find minimal
-    kernel generators by tracked echelon and sifting against the span of the
-    generators already chosen. Cells whose column count exceeds column_cap
-    are reported as partial, together with everything downstream of them.
+    Stages 0-2 are the start A(x)R -> A(x)V -> A of the Koszul complex,
+    which is exact at A(x)V and at A for every quadratic algebra: Tor_0 = I,
+    Tor_1 = C and Tor_2 = D, each in degree i only. From stage 3 on, minimal
+    kernel generators are found by tracked echelon and sifting against the
+    span of the generators already chosen. The stage-3 kernel is the kernel
+    of A(x)R -> A(x)V, so its dims are checked block by block against
+    h_A(1-Ct+Dt^2)-1, and a disagreement raises. Cells whose column count
+    exceeds column_cap are reported as partial, together with everything
+    downstream of them; only stages 3 and up can be partial.
     """
     engine = engine or GradedEngine(p)
     n = len(p.vertices)
-    entries: dict = {}
-    partial: list = []
     zeros = lambda: [[0] * n for _ in range(n)]
-    for d in range(d_max + 1):
-        M = zeros()
-        if d == 0:
-            for j in range(n):
-                M[j][j] = 1
-        entries[(0, d)] = M
-    if i_max >= 1:
-        for d in range(d_max + 1):
-            entries[(1, d)] = generator_matrix(p) if d == 1 else zeros()
-    gens = [_Gen(g.head, g.tail, 1, {(g.tail, (k,)): p.field.one})
-            for k, g in enumerate(p.generators)]
-    stopped = False
-    for i in range(2, i_max + 1):
-        if stopped or not gens:
-            if stopped:
-                partial.extend((i, d) for d in range(d_max + 1))
-            else:
-                for d in range(d_max + 1):
-                    entries[(i, d)] = zeros()
-            gens = []
+    gens = _relation_gens(p)
+    read_off = [[[int(i == j) for j in range(n)] for i in range(n)],
+                generator_matrix(p), relation_dim_matrix(p)]
+    entries: dict = {(i, d): read_off[i] if d == i else zeros()
+                     for i in range(min(i_max, 2) + 1)
+                     for d in range(d_max + 1)}
+    partial: list = []
+    for i in range(3, i_max + 1):
+        if partial:
+            partial.extend((i, d) for d in range(d_max + 1))
             continue
+        if not gens:
+            for d in range(d_max + 1):
+                entries[(i, d)] = zeros()
+            continue
+        expect = _kernel_series(p, d_max, engine) if i == 3 else None
         d_min = min(g.degree for g in gens)
-        new_gens, tor, part_from = _syzygy_stage(engine, gens, d_min, d_max,
-                                                 column_cap)
+        gens, tor, part_from = _syzygy_stage(engine, gens, d_min, d_max,
+                                             column_cap, expect)
         for d in range(d_max + 1):
             if part_from is not None and d >= part_from:
                 partial.append((i, d))
             else:
                 entries[(i, d)] = tor.get(d, zeros())
-        if part_from is not None:
-            stopped = True
-        gens = new_gens
     return TorTable(n, i_max, d_max, entries, tuple(partial))
 
 
 @dataclass(frozen=True)
 class KoszulVerdict:
-    method: str  # route of the Tor table: "koszul-complex" or "syzygy"
+    method: str  # "koszul-complex" or "syzygy"; see koszulity_verdict
     koszul: bool
     complete: bool
     koszul_up_to: tuple  # (i_max, d_max)
@@ -339,60 +326,23 @@ class KoszulVerdict:
     tor: TorTable
 
 
-def _koszul_complex_tor(p: Presentation, i_max: int, d_max: int,
-                       engine: GradedEngine | None = None) -> TorTable:
-    """Tor table read off the Koszul complex, for a presentation whose series
-    equals the closed form through degree d_max.
-
-    Runs koszul_complex_kernel through d_max, which checks by explicit column
-    ranks that the kernel of A(x)R -> A(x)V matches the series, and raises
-    unless that kernel is zero in every degree. The complex is then a linear
-    minimal resolution through d_max: Tor_0 = I at d = 0, Tor_1 = C at d = 1,
-    Tor_2 = D at d = 2 and every other cell (i <= i_max, d <= d_max) is 0.
-    """
-    n = len(p.vertices)
-    kernel = koszul_complex_kernel(p, d_max, engine)
-    zero = [[0] * n for _ in range(n)]
-    for d in range(d_max + 1):
-        if kernel[d] != zero:
-            raise AssertionError(
-                "Koszul-complex kernel is nonzero at degree %d: %r"
-                % (d, kernel[d]))
-    diagonal = {0: [[int(i == j) for j in range(n)] for i in range(n)],
-                1: generator_matrix(p), 2: relation_dim_matrix(p)}
-    entries = {(i, d): (diagonal[i] if d == i and i in diagonal
-                        else [[0] * n for _ in range(n)])
-               for i in range(i_max + 1) for d in range(d_max + 1)}
-    return TorTable(n, i_max, d_max, entries, ())
-
-
 def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
                       d_max: int = 8,
                       engine: GradedEngine | None = None) -> KoszulVerdict:
     """Bounded Koszulity check: series equality with the closed form to
     degree N, plus Tor concentration on d = i for i <= i_max, d <= d_max.
 
-    The series is computed through top = max(N, d_max) on one engine. If it
-    equals the closed form through top, the Tor table comes from
-    _koszul_complex_tor (method "koszul-complex"); otherwise from
-    tor_dimensions (method "syzygy"), whose column cap can leave cells
-    partial and the verdict incomplete. Both routes give the same cells.
+    The Tor table comes from tor_dimensions. method is "koszul-complex" when
+    no stage from 3 on found a generator and no cell is partial, so the
+    table is the Koszul complex's; otherwise it is "syzygy". A partial cell
+    (the Tor column cap) leaves the verdict incomplete.
     """
     engine = engine or GradedEngine(p)
-    top = max(N, d_max)
-    # build through top before the report at N: degrees below top keep their
-    # rewrite tables, so the report reuses every degree instead of building
-    # degree N twice
-    h = engine.series(top) if top > N else None
     gs = golod_shafarevich_check(p, N, engine)
-    matches = gs.equality and (h is None or h == closed_form(
-        generator_matrix(p), relation_dim_matrix(p), top))
-    if matches:
-        method = "koszul-complex"
-        tor = _koszul_complex_tor(p, i_max, d_max, engine)
-    else:
-        method = "syzygy"
-        tor = tor_dimensions(p, i_max, d_max, engine)
+    tor = tor_dimensions(p, i_max, d_max, engine)
+    found = any(any(map(any, M)) for (i, _), M in tor.entries.items()
+                if i >= 3)
+    method = "syzygy" if found or tor.partial else "koszul-complex"
     witnesses: list = []
     if not gs.equality:
         witnesses.append(("series", gs.first_diff))

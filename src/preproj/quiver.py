@@ -79,9 +79,6 @@ class Quiver:
             out[a.name + "*"] = (a.head, a.tail)
         return out
 
-    def vertex_index(self, name: str) -> int:
-        return self.vertices.index(name)
-
     @property
     def black(self) -> frozenset:
         return frozenset(self.vertices) - self.white
@@ -95,9 +92,6 @@ class Quiver:
 class DoubleQuiver:
     base: Quiver
     arrows: tuple  # originals in declaration order, then their stars
-
-    def star(self, name: str) -> str:
-        return name[:-1] if name.endswith("*") else name + "*"
 
 
 def double(q: Quiver) -> DoubleQuiver:

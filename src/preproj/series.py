@@ -77,9 +77,6 @@ class MatrixSeries:
     def __repr__(self) -> str:
         return "MatrixSeries(n=%d, N=%d)" % (self.n, self.truncation)
 
-    def copy(self) -> "MatrixSeries":
-        return MatrixSeries(self.n, self.coeffs)
-
 
 def identity_series(n: int, N: int) -> MatrixSeries:
     return MatrixSeries(n, [_ident(n)] + [_zeros(n) for _ in range(N)])

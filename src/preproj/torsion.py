@@ -215,7 +215,6 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
     rank_q_at: dict = {}   # (d, i, j) -> rank over the rationals
     rank_p_at: dict = {}   # (d, i, j, p) -> rank over GF(p)
     div_primes: set = set()
-    fields = {p: FieldSpec(p) for p in primes}
 
     for d in range(2, N + 1):
         if not rels:
@@ -228,16 +227,9 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
             col_index = {w: k for k, w in enumerate(cols)}
             rows = _placement_rows(paths, rels, d, i, j, col_index)
             if nrows * len(cols) > cell_cap:
-                ech_q = SparseRref(QQ, reduced=False)
-                ech_p = {p: SparseRref(fields[p], reduced=False) for p in primes}
-                for row in rows:
-                    ech_q.add_row(dict(row))
-                    for p, ech in ech_p.items():
-                        mrow = {k: v % p for k, v in row.items() if v % p}
-                        if mrow:
-                            ech.add_row(mrow)
-                rank_q = ech_q.rank
-                ranks_p = tuple((p, ech_p[p].rank) for p in sorted(ech_p))
+                ranks = _ranks(rows, (None,) + tuple(primes))
+                rank_q = ranks.pop(None)
+                ranks_p = tuple(sorted(ranks.items()))
                 entries.append(BlockReport(d, i, j, None, True, rank_q, ranks_p))
                 partial_blocks.append((d, i, j))
                 rank_q_at[(d, i, j)] = rank_q
@@ -268,16 +260,33 @@ def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
                     div_primes.update(_prime_factors(dv))
 
     check_primes = sorted(set(primes) | div_primes)
-    _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes)
+    _cross_check(q, pres, rels, N, paths, entries, rank_q_at, rank_p_at,
+                 check_primes)
 
     return SmithReport(N, tuple(entries), bool(witnesses), tuple(witnesses),
                        tuple(partial_blocks), tuple(check_primes))
 
 
-def _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes):
+def _ranks(rows, primes) -> dict:
+    """Rank of the integer rows over Q (key None) and over GF(p) for every
+    other p in primes, from one pass over the rows."""
+    echs = {p: SparseRref(QQ if p is None else FieldSpec(p), reduced=False)
+            for p in primes}
+    for row in rows:
+        for p, ech in echs.items():
+            mrow = row if p is None else {
+                k: v % p for k, v in row.items() if v % p}
+            if mrow:
+                ech.add_row(mrow)
+    return {p: ech.rank for p, ech in echs.items()}
+
+
+def _cross_check(q, pres, rels, N, paths, entries, rank_q_at, rank_p_at,
+                 check_primes):
     """Check #paths - rank == graded dimension, over the rationals and
-    over GF(p) for every checked prime, on every degree and block."""
-    series_by = {None: GradedEngine(preprojective_presentation(q, QQ)).series(N)}
+    over GF(p) for every checked prime, on every degree and block. pres is
+    the rational presentation of q and rels its integer relations."""
+    series_by = {None: GradedEngine(pres).series(N)}
     for p in check_primes:
         pres_p = preprojective_presentation(q, FieldSpec(p))
         series_by[p] = GradedEngine(pres_p).series(N)
@@ -290,26 +299,16 @@ def _cross_check(q, N, paths, entries, rank_q_at, rank_p_at, check_primes):
                 1 for dv in e.divisors if dv % p)
     need_rows = [
         (e.degree, e.row, e.col) for e in entries if e.divisors is None]
-    if need_rows:
-        # partial blocks know ranks only for the configured primes; widen
-        # to any extra primes contributed by divisors elsewhere
-        pres = preprojective_presentation(q, QQ)
-        rels = _int_relations(pres)
-        for (d, i, j) in need_rows:
-            missing = [p for p in check_primes
-                       if (d, i, j, p) not in rank_p_full]
-            if not missing:
-                continue
-            cols = paths[d][(i, j)]
-            col_index = {w: k for k, w in enumerate(cols)}
-            echs = {p: SparseRref(FieldSpec(p), reduced=False) for p in missing}
-            for row in _placement_rows(paths, rels, d, i, j, col_index):
-                for p, ech in echs.items():
-                    mrow = {k: v % p for k, v in row.items() if v % p}
-                    if mrow:
-                        ech.add_row(mrow)
-            for p, ech in echs.items():
-                rank_p_full[(d, i, j, p)] = ech.rank
+    # partial blocks know ranks only for the configured primes; widen to
+    # any extra primes contributed by divisors elsewhere
+    for (d, i, j) in need_rows:
+        missing = [p for p in check_primes if (d, i, j, p) not in rank_p_full]
+        if not missing:
+            continue
+        col_index = {w: k for k, w in enumerate(paths[d][(i, j)])}
+        rows = _placement_rows(paths, rels, d, i, j, col_index)
+        for p, r in _ranks(rows, missing).items():
+            rank_p_full[(d, i, j, p)] = r
     for d in range(N + 1):
         for (i, j), cols in paths[d].items():
             npaths = len(cols)

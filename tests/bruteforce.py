@@ -3,7 +3,10 @@
 Everything here enumerates paths explicitly and row-reduces dense matrices.
 No code is shared with the incremental engine: dimensions come straight
 from the definition (#paths minus the rank of the two-sided relation span
-in the full path basis).
+in the full path basis). The one exception is tor_by_search, which runs the
+package's own syzygy search from stage 1 on, so that the Koszul-complex
+start of tor_dimensions is checked against a resolution that finds its
+stage 2 by search.
 """
 
 from fractions import Fraction
@@ -223,3 +226,40 @@ def _kernel_vector(rows):
     for k, c in enumerate(pivots):
         vec[c] = -a[k][free[0]]
     return vec
+
+
+def tor_by_search(p, i_max, d_max, engine=None, column_cap=200000):
+    """Tor table of a minimal resolution seeded only at stage 1 (one
+    generator per arrow): every stage from 2 on, stage 2 included, is found
+    by the syzygy search. Same cells and partial rule as tor_dimensions."""
+    from preproj.algebra import GradedEngine, generator_matrix
+    from preproj.koszul import TorTable, _Gen, _syzygy_stage
+
+    engine = engine or GradedEngine(p)
+    n = len(p.vertices)
+    zeros = lambda: [[0] * n for _ in range(n)]
+    entries = {(0, d): [[int(d == 0 and i == j) for j in range(n)]
+                        for i in range(n)] for d in range(d_max + 1)}
+    if i_max >= 1:
+        for d in range(d_max + 1):
+            entries[(1, d)] = generator_matrix(p) if d == 1 else zeros()
+    gens = [_Gen(g.head, g.tail, 1, {(g.tail, (k,)): p.field.one})
+            for k, g in enumerate(p.generators)]
+    partial = []
+    for i in range(2, i_max + 1):
+        if partial:
+            partial.extend((i, d) for d in range(d_max + 1))
+            continue
+        if not gens:
+            for d in range(d_max + 1):
+                entries[(i, d)] = zeros()
+            continue
+        d_min = min(g.degree for g in gens)
+        gens, tor, part_from = _syzygy_stage(engine, gens, d_min, d_max,
+                                             column_cap)
+        for d in range(d_max + 1):
+            if part_from is not None and d >= part_from:
+                partial.append((i, d))
+            else:
+                entries[(i, d)] = tor.get(d, zeros())
+    return TorTable(n, i_max, d_max, entries, tuple(partial))

@@ -1,8 +1,10 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
-from bruteforce import random_presentation
+import preproj
+from bruteforce import random_presentation, tor_by_search
 from test_acceptance import all_star_combos, extended_dynkin_five, wild_pair
 from preproj.algebra import (
     GradedEngine,
@@ -15,7 +17,6 @@ from preproj.algebra import (
 )
 from preproj.field import QQ, FieldSpec
 from preproj.koszul import (
-    _koszul_complex_tor,
     golod_shafarevich_check,
     koszul_complex_kernel,
     koszulity_verdict,
@@ -194,6 +195,12 @@ def test_column_cap_reports_partial():
     small = tor_dimensions(pres, i_max=3, d_max=6, column_cap=5)
     assert not all((i, d) in small.entries
                    for i in range(4) for d in range(7))
+    # stages 0-2 are read off the Koszul complex, so the cap can only
+    # leave cells from stage 3 on partial
+    assert all((i, d) in small.entries for i in range(3) for d in range(7))
+    assert all(i >= 3 for i, _ in small.partial)
+    assert small.entries == {k: M for k, M in v.tor.entries.items()
+                             if k not in small.partial}
 
 
 def test_tor_gf2_agrees_with_rationals_on_koszul_cases():
@@ -213,7 +220,9 @@ def acceptance_battery():
             + list(wild_pair()))
 
 
-def test_routes_agree_on_acceptance_battery():
+def test_tor_matches_search_on_acceptance_battery():
+    # tor_dimensions reads stages 0-2 off the Koszul complex; the oracle
+    # finds stage 2 by search
     battery = acceptance_battery()
     assert len(battery) == 92
     for field in (QQ, GF3):
@@ -223,13 +232,13 @@ def test_routes_agree_on_acceptance_battery():
             v = koszulity_verdict(pres, N=6, i_max=3, d_max=6, engine=engine)
             assert v.method == "koszul-complex", (q.arrows, q.white)
             assert v.tor.partial == ()
-            assert v.tor == tor_dimensions(pres, i_max=3, d_max=6,
-                                           engine=engine), (q.arrows, q.white)
+            assert v.tor == tor_by_search(pres, 3, 6, engine), (
+                q.arrows, q.white)
 
 
-def test_routes_agree_on_random_presentations():
+def test_tor_matches_search_on_random_presentations():
     rng = random.Random(4242)
-    routes = {"koszul-complex": 0, "syzygy": 0}
+    methods = {"koszul-complex": 0, "syzygy": 0}
     draws = 0
     while draws < 150:
         pres = random_presentation(rng)
@@ -238,14 +247,13 @@ def test_routes_agree_on_random_presentations():
         draws += 1
         engine = GradedEngine(pres)
         v = koszulity_verdict(pres, N=6, i_max=4, d_max=6, engine=engine)
-        matches = engine.series(6) == golod_shafarevich_check(
-            pres, 6, engine).closed
-        assert v.method == ("koszul-complex" if matches else "syzygy")
-        routes[v.method] += 1
-        assert v.tor == tor_dimensions(pres, i_max=4, d_max=6,
-                                       engine=engine), pres.relations
-    # the seed draws both routes
-    assert min(routes.values()) > 20, routes
+        assert v.tor == tor_by_search(pres, 4, 6, engine), pres.relations
+        # with N = d_max the stage-3 kernel vanishes exactly when the
+        # series equals the closed form
+        assert v.method == ("koszul-complex" if v.gs.equality else "syzygy")
+        methods[v.method] += 1
+    # the seed draws both kinds
+    assert min(methods.values()) > 20, methods
 
 
 def test_koszul_complex_route_with_series_degree_apart_from_d_max():
@@ -271,10 +279,44 @@ def test_series_matching_only_below_d_max_takes_syzygy():
     assert koszulity_verdict(pres, N=8, i_max=3, d_max=5).method == "syzygy"
 
 
-def test_koszul_complex_tor_raises_on_nonzero_kernel():
-    # A_2's kernel is nonzero from degree 3 on, so its Tor table cannot be
-    # read off the Koszul complex there
-    with pytest.raises(AssertionError, match="nonzero at degree 3"):
-        _koszul_complex_tor(a2_pres(), 3, 5)
-    t = _koszul_complex_tor(a2_pres(), 3, 2)
-    assert t == tor_dimensions(a2_pres(), i_max=3, d_max=2)
+# cycle3 with the series raised by one at degree 3 entry (0, 1): the
+# stage-3 check of tor_dimensions must reject it even when python -O strips
+# assert statements
+FAULT_SCRIPT = """
+import sys
+from preproj.algebra import GradedEngine, preprojective_presentation
+from preproj.koszul import tor_dimensions
+from preproj.quiver import Arrow, Quiver
+
+series = GradedEngine.series
+
+def faulty(self, N):
+    s = series(self, N)
+    if N >= 3:
+        s.coeffs[3][0][1] += 1
+    return s
+
+q = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                             Arrow("c", "3", "1")])
+pres = preprojective_presentation(q)
+print(tor_dimensions(pres, i_max=3, d_max=3).concentrated())
+GradedEngine.series = faulty
+try:
+    tor_dimensions(pres, i_max=3, d_max=3)
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+
+
+def test_stage3_check_raises_on_faulty_series():
+    src = Path(preproj.__file__).resolve().parent.parent
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT],
+                             capture_output=True, text=True, timeout=120,
+                             env={"PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "True",
+            "%d kernel dims disagree at degree 3: ranks [[0, 0, 0], "
+            "[0, 0, 0], [0, 0, 0]], series [[0, 1, 0], [0, 0, 0], [0, 0, 0]]"
+            % len(flags)]
