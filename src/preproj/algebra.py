@@ -178,6 +178,24 @@ def preprojective_presentation(q: Quiver, field: FieldSpec = QQ) -> Presentation
     return Presentation(q.vertices, gens, rels, field)
 
 
+def place_relation(terms, u, rewrite: dict, acc) -> dict:
+    """The placement rel o u in degree-d candidates, where u is a degree
+    d-2 basis path (() for the trivial path) and rewrite the degree d-1
+    rewrite table. Each (a,) + u is a degree d-1 candidate, hence a basis
+    path unless it is a rewrite key; acc is the accumulate primitive of the
+    coefficient ring."""
+    row: dict = {}
+    for c, b, a in terms:
+        m = (a,) + u
+        exp = rewrite.get(m)
+        if exp is None:
+            acc(row, (b,) + m, c)
+        else:
+            for w2, c2 in exp.items():
+                acc(row, (b,) + w2, c * c2)
+    return row
+
+
 class GradedEngine:
     """Degreewise quotient of the tensor algebra on the generators by the
     two-sided ideal of the relations.
@@ -250,22 +268,10 @@ class GradedEngine:
         ech = SparseRref(field, reduced=with_rewrite)
         rw = self._rewrite[d - 1]
 
+        older = None if d == 2 else self._group(d - 2, True)
         for rel in self.pres.relations:
-            if d == 2:
-                ech.add_row({(b, a): c for c, b, a in rel.terms})
-                continue
-            for u in self._group(d - 2, True).get(rel.start, ()):
-                row = {}
-                for c, b, a in rel.terms:
-                    # (a,) + u is a degree d-1 candidate: a basis path
-                    # unless it is a rewrite key
-                    m = (a,) + u
-                    exp = rw.get(m)
-                    if exp is None:
-                        acc(row, (b,) + m, c)
-                    else:
-                        for w2, c2 in exp.items():
-                            acc(row, (b,) + w2, c * c2)
+            for u in ((),) if older is None else older.get(rel.start, ()):
+                row = place_relation(rel.terms, u, rw, acc)
                 if row:
                     ech.add_row(row)
 

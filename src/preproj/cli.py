@@ -179,19 +179,11 @@ def cmd_torsion(cfg: RunConfig) -> int:
     entries = []
     lines = ["degree\trow\tcol\tdivisors"]
     for e in rep.entries:
-        entry = {"degree": e.degree, "row": names[e.row], "col": names[e.col],
-                 "partial": e.partial,
-                 "divisors": None if e.divisors is None else list(e.divisors)}
-        if e.partial:
-            entry["rank_q"] = e.rank_q
-            entry["ranks_p"] = [list(pr) for pr in e.ranks_p]
-            cell = "partial rank_q=%d %s" % (e.rank_q, " ".join(
-                "rank_f%d=%d" % pr for pr in e.ranks_p))
-        else:
-            cell = " ".join(str(dv) for dv in e.divisors)
-        entries.append(entry)
-        lines.append("%d\t%s\t%s\t%s"
-                     % (e.degree, names[e.row], names[e.col], cell))
+        entries.append({"degree": e.degree, "row": names[e.row],
+                        "col": names[e.col], "partial": e.partial,
+                        "divisors": list(e.divisors)})
+        lines.append("%d\t%s\t%s\t%s" % (e.degree, names[e.row], names[e.col],
+                                        " ".join(map(str, e.divisors))))
     obj = {"command": "torsion", "truncation": rep.truncation,
            "torsion_found": rep.torsion_found,
            "witnesses": [[d, names[i], names[j], dv]

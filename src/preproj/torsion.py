@@ -1,23 +1,41 @@
-"""Degreewise integer structure of the relation ideal of a doubled quiver.
+"""Degreewise integer structure of a quadratic algebra with integral relations.
 
-With unit integer weights the relations span a sublattice of the integer
-span of each path block. For every degree and vertex block we assemble the
-placement matrix (all products path o relation o path landing in the block,
-written in the full path basis) and take its Smith normal form; an
-elementary divisor outside {0, 1} is torsion in the cokernel, i.e. a graded
-piece whose dimension jumps when the coefficients are reduced mod p.
+Over Z the relation ideal is I_d = V.I_{d-1} + R.V^{d-2}, and R.I_{d-2}
+lies in V.I_{d-1}, so A_d(Z) = (V (x) A_{d-1}(Z)) / R.A_{d-2}(Z). One
+integer degree step on the quotient basis computes it: each degree is
+carried as A_d(Z) = Z^{B_d} / L_d. The degree-d rows are rel o u for u in
+B_{d-2}, expanded through the degree d-1 rewrite table, plus g.l for l in
+L_{d-1}; they are inserted into an integer echelon by unimodular row
+operations. A pivot with leading coefficient 1 eliminates its candidate
+over Z and becomes an integral rewrite rule (Bergman's diamond lemma needs
+exactly unit leading coefficients); pivots with a larger leading
+coefficient stay as the rows of L_d. B_d is the set of candidates that are
+not unit pivots, so nothing here grows with the full path basis.
 
-Every run cross-checks the divisor counts against graded dimensions
-computed independently over the rationals and over GF(p), for the given
-primes and for every prime that divides an elementary divisor.
+For every degree and vertex block that some placement path o relation o
+path lands in, the report gives the Smith chain of the placement matrix in
+the path basis, derived from A_d(Z) = Z^f + torsion: ones, the torsion
+divisors, then zeros up to min(#placements, #paths). An elementary divisor
+outside {0, 1} is torsion, i.e. a graded piece whose dimension jumps when
+the coefficients are reduced mod p.
+
+Every run cross-checks the chains against graded dimensions computed
+independently by the engine over the rationals and over GF(p), for p = 2,
+3 and every prime that divides an elementary divisor.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
-from .algebra import GradedEngine, preprojective_presentation
-from .field import ExactMatrix, FieldSpec, QQ, SparseRref, smith_normal_form
+from .algebra import (
+    GradedEngine,
+    Presentation,
+    generator_matrix,
+    place_relation,
+    preprojective_presentation,
+)
+from .field import ExactMatrix, FieldSpec, QQ, smith_normal_form
 from .quiver import Quiver
+from .series import closed_form
 
 __all__ = [
     "BlockReport",
@@ -25,6 +43,7 @@ __all__ = [
     "TorsionError",
     "torsion_check",
 ]
+
 
 class TorsionError(ValueError):
     pass
@@ -95,20 +114,17 @@ def _prime_factors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Divisor data of one (degree, block) placement matrix.
-
-    divisors is the full chain (zeros trailing) when the matrix fit under
-    the cell cap, None otherwise; in the partial case only the ranks over
-    the rationals and over the checked primes are known.
-    """
+    """Divisor data of one (degree, block) placement matrix: the full chain
+    (zeros trailing) and its rank over the rationals. partial is always
+    False and ranks_p always empty; both stay for the report's shape."""
 
     degree: int
     row: int
     col: int
-    divisors: tuple | None
+    divisors: tuple
     partial: bool
     rank_q: int
-    ranks_p: tuple  # pairs (p, rank over GF(p)); only filled when partial
+    ranks_p: tuple
 
 
 @dataclass(frozen=True)
@@ -116,213 +132,179 @@ class SmithReport:
     truncation: int
     entries: tuple
     torsion_found: bool
-    witnesses: tuple  # (degree, row, col, divisor or prime with a deficit)
-    partial_blocks: tuple  # (degree, row, col)
+    witnesses: tuple  # (degree, row, col, divisor outside {0, 1})
+    partial_blocks: tuple  # always empty
     primes: tuple
 
     def divisors_outside_units(self) -> tuple:
         return tuple(w[3] for w in self.witnesses)
 
 
-def _double_path_blocks(gens, n: int, N: int) -> list:
-    """paths[d][(i, j)] = sorted tuples of generator indices, leftmost
-    applied last, running j -> i. Degree 0 holds the trivial path ()."""
-    paths = [{(v, v): [()] for v in range(n)}]
-    by_head: dict[int, list[int]] = {}
-    for k, g in enumerate(gens):
-        by_head.setdefault(g.tail, []).append(k)
-    for _ in range(N):
-        prev = paths[-1]
-        nxt: dict = {}
-        for (e, j), lst in prev.items():
-            for k in by_head.get(e, ()):
-                blk = (gens[k].head, j)
-                ext = nxt.setdefault(blk, [])
-                for w in lst:
-                    ext.append((k,) + w)
-        for lst in nxt.values():
-            lst.sort()
-        paths.append(nxt)
-    return paths
-
-
-def _int_relations(pres) -> list:
-    rels = []
-    for rel in pres.relations:
-        terms = []
-        for c, b, a in rel.terms:
+def _integral_presentation(q) -> Presentation:
+    """The presentation over Q whose relations have integer coefficients:
+    a Quiver's preprojective presentation (gammas absent or +-1), or an
+    integral Presentation as given."""
+    if isinstance(q, Quiver):
+        for key, val in sorted(q.gamma.items()):
+            if val != 1 and val != -1:
+                raise TorsionError(
+                    "gamma %s = %s is not a unit integer; no integer form"
+                    % (key, val))
+        return preprojective_presentation(q, QQ)
+    if q.field.p is not None:
+        raise TorsionError("presentation over %s has no integer form"
+                           % q.field.name)
+    for rel in q.relations:
+        for c, _, _ in rel.terms:
             if c.denominator != 1:
-                raise TorsionError("non-integer relation coefficient %s" % (c,))
-            terms.append((int(c), b, a))
-        rels.append((rel.start, terms))
-    return rels
+                raise TorsionError(
+                    "non-integer relation coefficient %s" % (c,))
+    return q
 
 
-def _placement_rows(paths, rels, d: int, i: int, j: int, col_index: dict):
-    """Yield the integer rows p o rel o u over the block's path columns."""
-    for v, terms in rels:
-        for left_len in range(d - 1):
-            left = paths[left_len].get((i, v))
-            if not left:
-                continue
-            right = paths[d - 2 - left_len].get((v, j))
-            if not right:
-                continue
-            for p in left:
-                for u in right:
-                    # the terms' pairs (b, a) are distinct, so are the keys
-                    yield {col_index[p + (b, a) + u]: c for c, b, a in terms}
+def _integer_degrees(pres: Presentation, N: int):
+    """Yield (d, basis, lattice) for d = 2..N with A_d(Z) = Z^basis /
+    span(lattice): basis is B_d, lattice the non-unit pivot rows L_d, each
+    reduced so that it holds no unit pivot key."""
+    gens = pres.generators
+    by_tail: dict = {}
+    for k, g in enumerate(gens):
+        by_tail.setdefault(g.tail, []).append(k)
+    rels = [(rel.start, tuple((int(c), b, a) for c, b, a in rel.terms))
+            for rel in pres.relations]
+    acc = QQ.acc
+    older = None                 # B_{d-2} grouped by end vertex
+    basis = [(k,) for k in range(len(gens))]
+    rewrite: dict = {}
+    lattice: list = []
+    for d in range(2, N + 1):
+        pivots: dict = {}
+        for start, terms in rels:
+            for u in ((),) if older is None else older.get(start, ()):
+                row = place_relation(terms, u, rewrite, acc)
+                if row:
+                    _lattice_insert(pivots, row)
+        for ell in lattice:
+            for g in by_tail.get(gens[next(iter(ell))[0]].head, ()):
+                _lattice_insert(pivots, {(g,) + w: c for w, c in ell.items()})
+        # back-substitute, largest pivot first, so no row keeps a unit key
+        # other than its own
+        units: dict = {}
+        lattice = []
+        for k in sorted(pivots, reverse=True):
+            row = pivots[k]
+            for m in [m for m in row if m in units]:
+                QQ.row_axpy(row, -row[m], units[m])
+            if row[k] == 1:
+                units[k] = row
+            else:
+                lattice.append(row)
+        older = {}
+        for w in basis:
+            older.setdefault(gens[w[0]].head, []).append(w)
+        basis = [(g,) + w for w in basis
+                 for g in by_tail.get(gens[w[0]].head, ())
+                 if (g,) + w not in units]
+        rewrite = {k: {m: -c for m, c in row.items() if m != k}
+                   for k, row in units.items()}
+        yield d, basis, lattice
 
 
-def _count_rows(paths, rels, d: int, i: int, j: int) -> int:
-    total = 0
-    for v, _ in rels:
-        for left_len in range(d - 1):
-            nl = len(paths[left_len].get((i, v), ()))
-            if nl:
-                total += nl * len(paths[d - 2 - left_len].get((v, j), ()))
-    return total
+def _block_torsion(rows: list) -> list:
+    """Smith divisors >= 2 of independent integer rows over path keys."""
+    keys = sorted({m for row in rows for m in row})
+    col = {m: k for k, m in enumerate(keys)}
+    mat = ExactMatrix(len(rows), len(keys))
+    for r, row in enumerate(rows):
+        for m, v in row.items():
+            mat.entries[(r, col[m])] = v
+    divs = smith_normal_form(mat)
+    if not all(divs):
+        raise AssertionError("lattice rows must be independent")
+    return [dv for dv in divs if dv > 1]
 
 
-def torsion_check(q: Quiver, N: int, cell_cap: int = 4_000_000,
-                  primes: tuple = (2, 3)) -> SmithReport:
-    """Smith normal form of every placement matrix up to degree N.
+def torsion_check(q, N: int) -> SmithReport:
+    """Smith chain of every placement matrix up to degree N.
 
-    Weights must be absent or +-1, otherwise the integer form of the
-    relations is not defined and a TorsionError is raised. Blocks whose
-    matrix exceeds cell_cap cells skip the divisor computation and fall
-    back to rank comparisons over the rationals and over GF(p) for the
-    given primes; such blocks are reported as partial, and a rank deficit
-    mod p there is witnessed by the prime itself.
+    q is a Quiver, whose gammas must be absent or +-1, or a Presentation
+    over Q with integer relation coefficients; anything else has no integer
+    form and raises TorsionError. The chains come from one integer degree
+    step on the quotient basis (module docstring); no path basis is built.
 
-    Every run re-derives the graded dimensions of the quotient from the
-    divisor data and asserts they match an independent computation over
-    the rationals and over each checked prime field.
+    Every run checks the free ranks and the divisor counts against graded
+    dimensions computed independently over the rationals and over GF(p),
+    raising AssertionError explicitly on any mismatch.
     """
-    for key, val in sorted(q.gamma.items()):
-        if val != 1 and val != -1:
-            raise TorsionError(
-                "gamma %s = %s is not a unit integer; no integer form" % (key, val))
-    pres = preprojective_presentation(q, QQ)
+    pres = _integral_presentation(q)
     gens = pres.generators
     n = len(pres.vertices)
-    rels = _int_relations(pres)
-    paths = _double_path_blocks(gens, n, N)
+    # paths[d][i][j] = (C^d)[i][j], from the series 1/(1 - Ct) of the path
+    # algebra
+    paths = closed_form(generator_matrix(pres),
+                        [[0] * n for _ in range(n)], N)
 
     entries = []
     witnesses = []
-    partial_blocks = []
-    rank_q_at: dict = {}   # (d, i, j) -> rank over the rationals
-    rank_p_at: dict = {}   # (d, i, j, p) -> rank over GF(p)
     div_primes: set = set()
-
-    for d in range(2, N + 1):
-        if not rels:
-            break
-        for (i, j) in sorted(paths[d]):
-            cols = paths[d][(i, j)]
-            nrows = _count_rows(paths, rels, d, i, j)
-            if nrows == 0:
-                continue
-            col_index = {w: k for k, w in enumerate(cols)}
-            rows = _placement_rows(paths, rels, d, i, j, col_index)
-            if nrows * len(cols) > cell_cap:
-                ranks = _ranks(rows, (None,) + tuple(primes))
-                rank_q = ranks.pop(None)
-                ranks_p = tuple(sorted(ranks.items()))
-                entries.append(BlockReport(d, i, j, None, True, rank_q, ranks_p))
-                partial_blocks.append((d, i, j))
-                rank_q_at[(d, i, j)] = rank_q
-                for p, r in ranks_p:
-                    rank_p_at[(d, i, j, p)] = r
-                    if r < rank_q:
-                        witnesses.append((d, i, j, p))
-                        div_primes.add(p)
-                continue
-            pivots: dict = {}
-            for row in rows:
-                _lattice_insert(pivots, row)
-            basis = list(pivots.values())
-            m = ExactMatrix(len(basis), len(cols))
-            for r, row in enumerate(basis):
-                for c, v in row.items():
-                    m.entries[(r, c)] = v
-            divs = smith_normal_form(m)
-            if not all(divs):
-                raise AssertionError("lattice basis rows must be independent")
-            rank_q = len(divs)
-            divs = divs + [0] * (min(nrows, len(cols)) - rank_q)
-            entries.append(BlockReport(d, i, j, tuple(divs), False, rank_q, ()))
-            rank_q_at[(d, i, j)] = rank_q
-            for dv in divs:
-                if dv not in (0, 1):
+    for d, basis, lattice in _integer_degrees(pres, N):
+        free: dict = {}
+        block_rows: dict = {}
+        for m in basis:
+            blk = (gens[m[0]].head, gens[m[-1]].tail)
+            free[blk] = free.get(blk, 0) + 1
+        for row in lattice:
+            m = next(iter(row))
+            blk = (gens[m[0]].head, gens[m[-1]].tail)
+            free[blk] -= 1
+            block_rows.setdefault(blk, []).append(row)
+        for i in range(n):
+            for j in range(n):
+                nrows = sum(paths[l][i][r.end] * paths[d - 2 - l][r.start][j]
+                            for r in pres.relations for l in range(d - 1))
+                if nrows == 0:
+                    continue
+                rank_q = paths[d][i][j] - free.get((i, j), 0)
+                tors = (_block_torsion(block_rows[(i, j)])
+                        if (i, j) in block_rows else [])
+                divs = ([1] * (rank_q - len(tors)) + tors
+                        + [0] * (min(nrows, paths[d][i][j]) - rank_q))
+                entries.append(BlockReport(d, i, j, tuple(divs), False,
+                                           rank_q, ()))
+                for dv in tors:
                     witnesses.append((d, i, j, dv))
                     div_primes.update(_prime_factors(dv))
 
-    check_primes = sorted(set(primes) | div_primes)
-    _cross_check(q, pres, rels, N, paths, entries, rank_q_at, rank_p_at,
-                 check_primes)
-
+    check_primes = tuple(sorted({2, 3} | div_primes))
+    _cross_check(pres, N, paths, entries, check_primes)
     return SmithReport(N, tuple(entries), bool(witnesses), tuple(witnesses),
-                       tuple(partial_blocks), tuple(check_primes))
+                       (), check_primes)
 
 
-def _ranks(rows, primes) -> dict:
-    """Rank of the integer rows over Q (key None) and over GF(p) for every
-    other p in primes, from one pass over the rows."""
-    echs = {p: SparseRref(QQ if p is None else FieldSpec(p), reduced=False)
-            for p in primes}
-    for row in rows:
-        for p, ech in echs.items():
-            mrow = row if p is None else {
-                k: v % p for k, v in row.items() if v % p}
-            if mrow:
-                ech.add_row(mrow)
-    return {p: ech.rank for p, ech in echs.items()}
-
-
-def _cross_check(q, pres, rels, N, paths, entries, rank_q_at, rank_p_at,
-                 check_primes):
-    """Check #paths - rank == graded dimension, over the rationals and
-    over GF(p) for every checked prime, on every degree and block. pres is
-    the rational presentation of q and rels its integer relations."""
+def _cross_check(pres, N, paths, entries, check_primes):
+    """Check #paths - rank == graded dimension, over the rationals and over
+    GF(p) for every checked prime, on every degree and block. The GF(p)
+    presentations reduce the integer relations mod p, and the rank mod p
+    of a chain is the number of its divisors that p does not divide."""
     series_by = {None: GradedEngine(pres).series(N)}
     for p in check_primes:
-        pres_p = preprojective_presentation(q, FieldSpec(p))
+        pres_p = Presentation(pres.vertices, pres.generators,
+                              [rel.terms for rel in pres.relations],
+                              FieldSpec(p))
         series_by[p] = GradedEngine(pres_p).series(N)
-    rank_p_full = dict(rank_p_at)
-    for e in entries:
-        if e.divisors is None:
-            continue
-        for p in check_primes:
-            rank_p_full[(e.degree, e.row, e.col, p)] = sum(
-                1 for dv in e.divisors if dv % p)
-    need_rows = [
-        (e.degree, e.row, e.col) for e in entries if e.divisors is None]
-    # partial blocks know ranks only for the configured primes; widen to
-    # any extra primes contributed by divisors elsewhere
-    for (d, i, j) in need_rows:
-        missing = [p for p in check_primes if (d, i, j, p) not in rank_p_full]
-        if not missing:
-            continue
-        col_index = {w: k for k, w in enumerate(paths[d][(i, j)])}
-        rows = _placement_rows(paths, rels, d, i, j, col_index)
-        for p, r in _ranks(rows, missing).items():
-            rank_p_full[(d, i, j, p)] = r
+    divs_at = {(e.degree, e.row, e.col): e.divisors for e in entries}
+    n = len(pres.vertices)
     for d in range(N + 1):
-        for (i, j), cols in paths[d].items():
-            npaths = len(cols)
-            rq = rank_q_at.get((d, i, j), 0)
-            if series_by[None][d][i][j] != npaths - rq:
-                raise AssertionError(
-                    "rational dimension mismatch at degree %d block (%d,%d)"
-                    % (d, i, j))
-            for p in check_primes:
-                rp = rank_p_full[(d, i, j, p)] if (d, i, j) in rank_q_at else 0
-                if rp > rq:
-                    raise AssertionError(
-                        "rank over GF(%d) exceeds rational rank" % p)
-                if series_by[p][d][i][j] != npaths - rp:
-                    raise AssertionError(
-                        "GF(%d) dimension mismatch at degree %d block (%d,%d)"
-                        % (p, d, i, j))
+        for i in range(n):
+            for j in range(n):
+                divs = divs_at.get((d, i, j), ())
+                for p in (None,) + check_primes:
+                    if p is None:
+                        rank = sum(1 for dv in divs if dv)
+                    else:
+                        rank = sum(1 for dv in divs if dv % p)
+                    if series_by[p][d][i][j] != paths[d][i][j] - rank:
+                        raise AssertionError(
+                            "%s dimension mismatch at degree %d block (%d,%d)"
+                            % ("rational" if p is None else "GF(%d)" % p,
+                               d, i, j))

@@ -93,6 +93,37 @@ def naive_dims(pres, N):
     return out
 
 
+def naive_divisors(pres, N):
+    """Smith chains of the integer placement matrices by definition: for
+    every degree 2..N and block, the rows are all placements
+    p o rel o u written in the full path basis, and the chain is the Smith
+    normal form of that matrix. Returns {(d, end, start): chain} over the
+    blocks with at least one placement; pres is over Q with integer
+    relation coefficients."""
+    from preproj.field import ExactMatrix, smith_normal_form
+
+    blocks = path_blocks(pres.generators, len(pres.vertices), N)
+    out = {}
+    for d in range(2, N + 1):
+        for (i, j), cols in sorted(blocks[d].items()):
+            index = {w: c for c, w in enumerate(cols)}
+            entries = {}
+            nrows = 0
+            for rel in pres.relations:
+                for left_len in range(d - 1):
+                    for pre in blocks[left_len].get((i, rel.end), ()):
+                        for suf in blocks[d - 2 - left_len].get(
+                                (rel.start, j), ()):
+                            for c, b, a in rel.terms:
+                                entries[(nrows, index[pre + (b, a) + suf])] = (
+                                    int(c))
+                            nrows += 1
+            if nrows:
+                out[(d, i, j)] = tuple(smith_normal_form(
+                    ExactMatrix(nrows, len(cols), entries)))
+    return out
+
+
 def mat_mul(A, B):
     n = len(A)
     return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
@@ -109,10 +140,12 @@ def path_mass(C, N=8):
 
 
 def random_presentation(rng, field=None, max_vertices=3, max_generators=4,
-                        max_relations=2, mass_cap=20000):
-    """Seeded quadratic presentation within the sweep bounds. Relations are
-    block-homogeneous by construction; the path-mass cap keeps degree-8
-    computations desk-scale. Returns None when the draw exceeds the cap."""
+                        max_relations=2, mass_cap=20000,
+                        coefficients=(-2, -1, 1, 2)):
+    """Seeded quadratic presentation within the sweep bounds, with term
+    coefficients drawn from coefficients. Relations are block-homogeneous
+    by construction; the path-mass cap keeps degree-8 computations
+    desk-scale. Returns None when the draw exceeds the cap."""
     from preproj.algebra import Generator, Presentation, generator_matrix
     from preproj.field import QQ
 
@@ -134,7 +167,7 @@ def random_presentation(rng, field=None, max_vertices=3, max_generators=4,
             break
         pairs = by_block[blocks[rng.randrange(len(blocks))]]
         chosen = rng.sample(pairs, rng.randint(1, min(len(pairs), 3)))
-        terms = [(Fraction(rng.choice((-2, -1, 1, 2))), b, a)
+        terms = [(Fraction(rng.choice(coefficients)), b, a)
                  for b, a in chosen]
         rels.append(terms)
     pres = Presentation(vertices, gens, rels, field or QQ)

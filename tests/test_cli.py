@@ -229,6 +229,13 @@ def test_bad_field_spec(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_field_above_primality_bound_is_input_error(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, A0, "classify",
+                         "--field", "f%d" % (10 ** 25 + 13))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_negative_degree_rejected(tmp_path, capsys):
     f = tmp_path / "q.quiver"
     f.write_text(A0, encoding="utf-8")

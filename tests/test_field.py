@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from preproj.field import (
     QQ,
     ExactMatrix,
     FieldError,
+    PRIME_BOUND,
     FieldSpec,
     SparseRref,
+    is_prime,
     rank,
     smith_normal_form,
 )
@@ -28,6 +31,33 @@ def test_parse():
         FieldSpec.parse("f1")
     with pytest.raises(FieldError):
         FieldSpec.parse("r")
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division(n)]
+
+
+def test_carmichael_numbers_rejected():
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+        with pytest.raises(FieldError):
+            FieldSpec(n)
+
+
+def test_large_prime_parses_quickly():
+    t0 = time.perf_counter()
+    assert FieldSpec.parse("f1000000000000000003").p == 10 ** 18 + 3
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_prime_above_bound_refused():
+    with pytest.raises(FieldError):
+        FieldSpec(PRIME_BOUND + 2)
 
 
 def test_acc_reduces_and_drops_zero():

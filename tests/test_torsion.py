@@ -1,12 +1,20 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import preproj
-from preproj.field import ExactMatrix, smith_normal_form
+from bruteforce import naive_divisors, random_presentation
+from preproj.algebra import (
+    Generator,
+    GradedEngine,
+    Presentation,
+    preprojective_presentation,
+)
+from preproj.field import QQ, ExactMatrix, FieldSpec, smith_normal_form
 from preproj.quiver import Arrow, Quiver
 from preproj.torsion import (
     TorsionError,
@@ -117,26 +125,91 @@ def test_gamma_units_accepted():
     {"a": "1/2", "a*": 1},
 ])
 def test_gamma_non_unit_rejected(gamma):
-    from fractions import Fraction
     gamma = {k: Fraction(v) for k, v in gamma.items()}
     q = Quiver(["1", "2"], [Arrow("a", "2", "1")], white=["2"], gamma=gamma)
     with pytest.raises(TorsionError):
         torsion_check(q, 4)
 
 
-def test_partial_fallback_consistent_with_full():
-    q = a2_tilde()
-    full = torsion_check(q, 5)
-    capped = torsion_check(q, 5, cell_cap=40)
-    assert capped.partial_blocks
-    full_rank = {(e.degree, e.row, e.col): e.rank_q for e in full.entries}
-    for e in capped.entries:
-        assert e.rank_q == full_rank[(e.degree, e.row, e.col)]
-        if e.partial:
-            assert e.divisors is None
-            # no torsion here, so GF(p) ranks equal the rational rank
-            assert all(r == e.rank_q for _, r in e.ranks_p)
-    assert not capped.torsion_found
+def test_two_loop_reports_full_chains():
+    # blocks that once fell back to ranks over Q and GF(p) now carry full
+    # chains; the ones counts are the rational ranks that fallback printed
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    rep = torsion_check(q, 6)
+    assert rep.partial_blocks == () and not rep.torsion_found
+    ranks = {2: 1, 3: 8, 4: 47, 5: 244, 6: 1185}
+    assert [e.degree for e in rep.entries] == sorted(ranks)
+    for e in rep.entries:
+        assert not e.partial and e.ranks_p == ()
+        assert e.divisors.count(1) == e.rank_q == ranks[e.degree]
+        assert set(e.divisors) <= {0, 1}
+
+
+def two_loop_torsion():
+    """x, y at one vertex with xy - yx and xy + yx: Z/2 in degree 2."""
+    gens = [Generator("x", 0, 0), Generator("y", 0, 0)]
+    return Presentation(["v"], gens, [[(1, 0, 1), (-1, 1, 0)],
+                                      [(1, 0, 1), (1, 1, 0)]])
+
+
+def chains(rep):
+    return {(e.degree, e.row, e.col): e.divisors for e in rep.entries}
+
+
+def oracle_witnesses(want):
+    return tuple((d, i, j, dv) for (d, i, j), divs in sorted(want.items())
+                 for dv in divs if dv not in (0, 1))
+
+
+def test_torsion_presentation_matches_path_basis_oracle():
+    pres = two_loop_torsion()
+    rep = torsion_check(pres, 5)
+    want = naive_divisors(pres, 5)
+    assert chains(rep) == want
+    assert want[(2, 0, 0)] == (1, 2)
+    assert rep.torsion_found and rep.primes == (2, 3)
+    assert rep.witnesses == oracle_witnesses(want)
+    # the lattice rows of degree 2 keep contributing past the first
+    # non-unit pivot
+    assert sorted({w[0] for w in rep.witnesses}) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("coefficients, seed", [
+    ((-1, 1), 6100),
+    ((-3, -2, -1, 1, 2, 3), 6200),
+])
+def test_random_presentations_match_path_basis_oracle(coefficients, seed):
+    rng = random.Random(seed)
+    done = with_torsion = 0
+    while done < 150:
+        pres = random_presentation(rng, max_relations=3,
+                                   coefficients=coefficients)
+        if pres is None:
+            continue
+        rep = torsion_check(pres, 5)
+        want = naive_divisors(pres, 5)
+        assert chains(rep) == want, done
+        assert rep.witnesses == oracle_witnesses(want), done
+        with_torsion += rep.torsion_found
+        done += 1
+    if len(coefficients) > 2:
+        assert with_torsion >= 40
+
+
+def test_quiver_and_its_presentation_agree():
+    q = d4_tilde()
+    assert torsion_check(q, 5) == torsion_check(
+        preprojective_presentation(q, QQ), 5)
+
+
+def test_presentation_without_integer_form_rejected():
+    gens = [Generator("x", 0, 0), Generator("y", 0, 0)]
+    half = Presentation(["v"], gens, [[(Fraction(1, 2), 0, 1), (1, 1, 0)]])
+    with pytest.raises(TorsionError):
+        torsion_check(half, 3)
+    mod3 = Presentation(["v"], gens, [[(1, 0, 1), (1, 1, 0)]], FieldSpec(3))
+    with pytest.raises(TorsionError):
+        torsion_check(mod3, 3)
 
 
 def test_cross_check_runs_on_every_call():
@@ -157,6 +230,22 @@ def test_cross_check_runs_on_every_call():
             if not e.partial:
                 assert all(d >= 0 for d in e.divisors)
         done += 1
+
+
+def test_cross_check_catches_a_prime_field_fault(monkeypatch):
+    # the GF(2) dims of the torsion presentation, raised by one at degree
+    # 3, no longer match the chain's count of odd divisors
+    series = GradedEngine.series
+
+    def faulty(self, N):
+        s = series(self, N)
+        if self.field.p == 2:
+            s.coeffs[3][0][0] += 1
+        return s
+
+    monkeypatch.setattr(GradedEngine, "series", faulty)
+    with pytest.raises(AssertionError, match="GF.2. dimension mismatch"):
+        torsion_check(two_loop_torsion(), 4)
 
 
 def test_divisor_padding_counts_zero_divisors():
