@@ -38,7 +38,6 @@ from .algebra import (
     Presentation,
     Relation,
     associated_graded,
-    count_avoiding_paths,
     free_product,
     generator_matrix,
     hilbert_series,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, FieldSpec, SparseRref
+from .field import QQ, FieldSpec, SparseRref, back_substitute
 from .quiver import Quiver, double
 from .series import MatrixSeries
 
@@ -124,10 +124,11 @@ def generator_matrix(p: Presentation) -> list[list[int]]:
 def relation_space_rows(p: Presentation) -> list[dict]:
     """Canonical reduced echelon basis of the span of the relations, as rows
     over the degree-2 monomial keys (b, a). Independent of listing order."""
-    ech = SparseRref(p.field, reduced=True)
+    ech = SparseRref(p.field)
     for rel in p.relations:
         ech.add_row({(b, a): c for c, b, a in rel.terms})
-    return [dict(ech.rows[k]) for k in sorted(ech.rows)]
+    units, _ = back_substitute(ech.rows, p.field)
+    return [units[k] for k in sorted(units)]
 
 
 def relation_dim_matrix(p: Presentation) -> list[list[int]]:
@@ -205,10 +206,12 @@ class GradedEngine:
     expanded in those candidates through the degree d-1 rewrite table and fed
     to an exact row echelon with lexicographically minimal pivots. Candidates
     that are not pivots form the degree-d basis, which is therefore
-    suffix-closed and independent of relation listing order. Rewrite tables
-    (pivot monomial -> basis expansion) come from the reduced echelon; a
-    degree computed in forward-only mode (cheaper, used for a final degree)
-    has no rewrite table and is rebuilt on demand.
+    suffix-closed and independent of relation listing order. The echelon
+    only reduces forward; when a degree needs a rewrite table (pivot
+    monomial -> basis expansion), field.back_substitute turns its pivot
+    rows into the canonical reduced echelon form, whose rows are the
+    rules. A degree computed without one (used for a final degree) gets it
+    on demand by a rebuild.
 
     Each degree stores its basis tuple, its rewrite table and its dims
     matrix, nothing else. A candidate is a basis path exactly when it is not
@@ -265,7 +268,7 @@ class GradedEngine:
             for g in gbt.get(gens[w[0]].head, ()):
                 cands.append((g,) + w)
         cands.sort()
-        ech = SparseRref(field, reduced=with_rewrite)
+        ech = SparseRref(field)
         rw = self._rewrite[d - 1]
 
         older = None if d == 2 else self._group(d - 2, True)
@@ -279,11 +282,12 @@ class GradedEngine:
         basis = tuple(m for m in cands if m not in pivots)
         rewrite = None
         if with_rewrite:
+            units, _ = back_substitute(pivots, field)
             rewrite = {piv: {m: field.neg(c) for m, c in r.items() if m != piv}
-                       for piv, r in pivots.items()}
+                       for piv, r in units.items()}
         if len(self._basis) > d:
-            # forward-mode degree upgraded in place; pivots are canonical so
-            # the basis cannot change
+            # a degree built without rewrite table, upgraded in place; the
+            # pivot keys are canonical so the basis cannot change
             if self._basis[d] != basis:
                 raise AssertionError("degree %d basis changed on rebuild" % d)
             self._rewrite[d] = rewrite
@@ -422,36 +426,3 @@ def associated_graded(p: Presentation, weights) -> Presentation:
         top = max(w[b] + w[a] for c, b, a in r.terms)
         rels.append([(c, b, a) for c, b, a in r.terms if w[b] + w[a] == top])
     return Presentation(p.vertices, p.generators, rels, p.field)
-
-
-def count_avoiding_paths(n: int, N: int) -> MatrixSeries:
-    """Transfer-matrix count of paths in the doubled n-cycle (arrows
-    a_k: k -> k+1 mod n and stars a_k*: k+1 -> k) whose written form never
-    contains a_k* immediately left of a_k. Entry (i, j) of the degree-d
-    coefficient counts such paths from j to i."""
-    if n < 1:
-        raise AlgebraError("cycle length must be >= 1")
-    # generator k < n is a_k (k -> k+1); generator n+k is a_k* (k+1 -> k)
-    tail = [k % n for k in range(n)] + [(k + 1) % n for k in range(n)]
-    head = [(k + 1) % n for k in range(n)] + [k % n for k in range(n)]
-    gens = range(2 * n)
-
-    def allowed(left: int, right: int) -> bool:
-        if tail[left] != head[right]:
-            return False
-        return not (left >= n and right == left - n)
-
-    mats = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
-    # count[g][j] = paths of the current degree from j whose leftmost factor
-    # is g
-    count = [[1 if tail[g] == j else 0 for j in range(n)] for g in gens]
-    for d in range(1, N + 1):
-        if d > 1:
-            count = [[sum(count[g2][j] for g2 in gens if allowed(g, g2))
-                      for j in range(n)] for g in gens]
-        M = [[0] * n for _ in range(n)]
-        for g in gens:
-            for j in range(n):
-                M[head[g]][j] += count[g][j]
-        mats.append(M)
-    return MatrixSeries(n, mats[:N + 1])

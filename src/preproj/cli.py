@@ -217,8 +217,16 @@ def _nonneg(text: str) -> int:
     return v
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one 'error: ...' line on stderr
+    and exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("file", help="quiver description file")
     common.add_argument("--field", default="q", metavar="q|f<p>",
                         help="coefficient field (default q)")
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default tsv)")
     common.add_argument("--seed", type=int, default=None, metavar="S",
                         help="seed echoed into the report for reproducibility")
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="preproj",
         description="Preprojective algebras of quivers: Hilbert series, "
                     "closed forms, Koszulity, and integer torsion.")

@@ -61,11 +61,11 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        """Parse 'q' or 'f<p>' (e.g. 'f2', 'f7')."""
+        """Parse 'q' or 'f<p>' with p in ASCII digits (e.g. 'f2', 'f7')."""
         t = text.strip().lower()
         if t == "q":
             return cls(None)
-        if t.startswith("f") and t[1:].isdigit():
+        if t.startswith("f") and t[1:].isascii() and t[1:].isdigit():
             return cls(int(t[1:]))
         raise FieldError("unrecognized field %r (expected q or f<p>)" % (text,))
 
@@ -160,68 +160,55 @@ QQ = FieldSpec()
 class SparseRref:
     """Incremental row echelon form over a FieldSpec.
 
-    Keys are ordered hashables; the pivot of a row is its minimal key.
-    In reduced mode the pivot rows are kept fully inter-reduced (true RREF:
-    a pivot row has coefficient 1 at its pivot and contains no other pivot
-    key), which makes the stored rows canonical for the row space and lets
-    them serve directly as rewrite rules. In forward mode rows are only
-    pivot-normalized; cheaper, and ranks/kernels are unaffected since the
-    pivot key set is the staircase of the row space either way.
+    Keys are ordered hashables; the pivot of a row is its minimal key. A
+    new row is reduced against the stored rows until none of its keys is a
+    pivot, then normalized to coefficient 1 at its pivot; an insertion
+    changes no stored row. The pivot key set is the staircase of the row
+    space, so ranks and kernels need no more. back_substitute turns the
+    stored rows into the canonical reduced echelon form when rewrite rules
+    are wanted.
 
     With track=True every stored row carries a history vector expressing it
     as a combination of the rows fed in (tagged by the caller); a row that
     reduces to zero hands back its history, i.e. an exact kernel combination.
     """
 
-    def __init__(self, field: FieldSpec, reduced: bool = True, track: bool = False):
+    def __init__(self, field: FieldSpec, track: bool = False):
         self.field = field
-        self.reduced = reduced
         self.track = track
         self.rows: dict = {}
         self.histories: dict = {}
-        self._uses: dict = {}  # key -> set of pivot keys whose rows contain key
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, row: dict, history: dict | None = None):
-        """Fully reduce a row against the stored pivots. Returns the reduced
-        row (a fresh dict) and its updated history."""
+        """Reduce a row against the stored pivots until none of its keys is
+        a pivot. Returns the reduced row (a fresh dict) and its updated
+        history."""
         field = self.field
         row = dict(row)
         if history is not None:
             history = dict(history)
         rows = self.rows
-        if self.reduced:
-            # pivot rows contain no other pivot keys, so eliminating the
-            # initial hits never reintroduces one
-            for k in sorted(k for k in row if k in rows):
-                c = row.get(k)
-                if not c:
-                    continue
-                nc = field.neg(c)
-                field.row_axpy(row, nc, rows[k])
-                if history is not None and self.track:
-                    field.row_axpy(history, nc, self.histories[k])
-        else:
-            heap = sorted(row)
-            seen = set(heap)
-            heapify(heap)
-            while heap:
-                k = heappop(heap)
-                c = row.get(k)
-                if not c or k not in rows:
-                    continue
-                nc = field.neg(c)
-                piv = rows[k]
-                field.row_axpy(row, nc, piv)
-                if history is not None and self.track:
-                    field.row_axpy(history, nc, self.histories[k])
-                for nk in piv:
-                    if nk not in seen:
-                        seen.add(nk)
-                        heappush(heap, nk)
+        heap = sorted(row)
+        seen = set(heap)
+        heapify(heap)
+        while heap:
+            k = heappop(heap)
+            c = row.get(k)
+            if not c or k not in rows:
+                continue
+            nc = field.neg(c)
+            piv = rows[k]
+            field.row_axpy(row, nc, piv)
+            if history is not None and self.track:
+                field.row_axpy(history, nc, self.histories[k])
+            for nk in piv:
+                if nk not in seen:
+                    seen.add(nk)
+                    heappush(heap, nk)
         return row, history
 
     def add_row(self, row: dict, tag=None):
@@ -248,42 +235,34 @@ class SparseRref:
         self.rows[k] = row
         if self.track:
             self.histories[k] = history
-        if self.reduced:
-            uses = self._uses
-            for key in row:
-                uses.setdefault(key, set()).add(k)
-            # restore full reduction: eliminate the new pivot key from every
-            # older pivot row that contains it
-            holders = uses.get(k)
-            if holders and len(holders) > 1:
-                for p in sorted(holders - {k}):
-                    self._eliminate_from_pivot(p, k)
         return k, history
 
-    def _eliminate_from_pivot(self, pkey, k) -> None:
-        field = self.field
-        target = self.rows[pkey]
-        c = target.get(k)
-        if not c:
-            return
-        nc = field.neg(c)
-        src = self.rows[k]
-        uses = self._uses
-        p = field.p
-        for key, v in src.items():
-            if p is None:
-                nv = target.get(key, 0) + nc * v
-            else:
-                nv = (target.get(key, 0) + nc * v) % p
-            if nv:
-                if key not in target:
-                    uses.setdefault(key, set()).add(pkey)
-                target[key] = nv
-            elif key in target:
-                del target[key]
-                uses[key].discard(pkey)
-        if self.track:
-            field.row_axpy(self.histories[pkey], nc, self.histories[k])
+
+def back_substitute(pivots: dict, field: FieldSpec):
+    """Clear unit pivots from echelon rows, largest pivot first.
+
+    pivots maps each row's pivot (its minimal key) to the row. A unit row
+    has coefficient 1 at its pivot; every unit pivot key is eliminated from
+    all other rows. Returns (units, others): the unit rows by pivot and the
+    remaining rows, both largest pivot first. Over a field every normalized
+    pivot is a unit, so units is the reduced echelon form, canonical for
+    the row space. Over Z (integer rows with QQ passed, so they stay
+    integer) the units are integral rewrite rules and others the rows with
+    a larger leading coefficient. Mutates the rows.
+    """
+    units: dict = {}
+    others: list = []
+    for k in sorted(pivots, reverse=True):
+        row = pivots[k]
+        # a unit row holds no larger unit key, so no elimination brings
+        # one back
+        for m in [m for m in row if m in units]:
+            field.row_axpy(row, field.neg(row[m]), units[m])
+        if row[k] == 1:
+            units[k] = row
+        else:
+            others.append(row)
+    return units, others
 
 
 class ExactMatrix:
@@ -301,53 +280,6 @@ class ExactMatrix:
                     raise ValueError("entry (%d,%d) outside %dx%d" % (r, c, rows, cols))
                 if v:
                     self.entries[(r, c)] = v
-
-    @classmethod
-    def from_rows(cls, data) -> "ExactMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, line in enumerate(data):
-            if len(line) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(line):
-                if v:
-                    m.entries[(r, c)] = v
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def row_dicts(self):
-        rows: list[dict] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-
-def rank(m: ExactMatrix, field: FieldSpec) -> int:
-    """Exact rank of m over the given field."""
-    ech = SparseRref(field, reduced=False)
-    for row in m.row_dicts():
-        frow = {}
-        for c, v in row.items():
-            fv = field.convert(v)
-            if fv:
-                frow[c] = fv
-        if frow:
-            ech.add_row(frow)
-    return ech.rank
 
 
 def smith_normal_form(m: ExactMatrix) -> list[int]:

@@ -203,7 +203,7 @@ def _kernel_degree(engine, gens_list, d, prev, cap=None, expect=None):
         return cols, None, None
     n = len(engine.pres.vertices)
     K = [[0] * n for _ in range(n)]
-    ech = SparseRref(engine.field, reduced=False)
+    ech = SparseRref(engine.field)
     for (k, x), col in cols.items():
         if not col or ech.add_row(col)[0] is None:
             K[engine.path_end(x)][gens_list[k].root] += 1
@@ -241,7 +241,7 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
             raise AssertionError("syzygy span exceeds kernel at degree %d" % d)
         M = [[0] * n for _ in range(n)]
         if new_count:
-            tracked = SparseRref(field, reduced=False, track=True)
+            tracked = SparseRref(field, track=True)
             kers = []
             for tag, col in cols.items():
                 piv, hist = tracked.add_row(col, tag=tag)

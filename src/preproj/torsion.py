@@ -6,11 +6,13 @@ integer degree step on the quotient basis computes it: each degree is
 carried as A_d(Z) = Z^{B_d} / L_d. The degree-d rows are rel o u for u in
 B_{d-2}, expanded through the degree d-1 rewrite table, plus g.l for l in
 L_{d-1}; they are inserted into an integer echelon by unimodular row
-operations. A pivot with leading coefficient 1 eliminates its candidate
-over Z and becomes an integral rewrite rule (Bergman's diamond lemma needs
-exactly unit leading coefficients); pivots with a larger leading
-coefficient stay as the rows of L_d. B_d is the set of candidates that are
-not unit pivots, so nothing here grows with the full path basis.
+operations, then field.back_substitute, which also makes the engine's
+rewrite tables, clears the unit pivots. A pivot with leading coefficient 1
+eliminates its candidate over Z and becomes an integral rewrite rule
+(Bergman's diamond lemma needs exactly unit leading coefficients); pivots
+with a larger leading coefficient stay as the rows of L_d. B_d is the set
+of candidates that are not unit pivots, so nothing here grows with the
+full path basis.
 
 For every degree and vertex block that some placement path o relation o
 path lands in, the report gives the Smith chain of the placement matrix in
@@ -33,7 +35,13 @@ from .algebra import (
     place_relation,
     preprojective_presentation,
 )
-from .field import ExactMatrix, FieldSpec, QQ, smith_normal_form
+from .field import (
+    ExactMatrix,
+    FieldSpec,
+    QQ,
+    back_substitute,
+    smith_normal_form,
+)
 from .quiver import Quiver
 from .series import closed_form
 
@@ -187,18 +195,7 @@ def _integer_degrees(pres: Presentation, N: int):
         for ell in lattice:
             for g in by_tail.get(gens[next(iter(ell))[0]].head, ()):
                 _lattice_insert(pivots, {(g,) + w: c for w, c in ell.items()})
-        # back-substitute, largest pivot first, so no row keeps a unit key
-        # other than its own
-        units: dict = {}
-        lattice = []
-        for k in sorted(pivots, reverse=True):
-            row = pivots[k]
-            for m in [m for m in row if m in units]:
-                QQ.row_axpy(row, -row[m], units[m])
-            if row[k] == 1:
-                units[k] = row
-            else:
-                lattice.append(row)
+        units, lattice = back_substitute(pivots, QQ)
         older = {}
         for w in basis:
             older.setdefault(gens[w[0]].head, []).append(w)

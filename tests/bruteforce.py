@@ -12,12 +12,13 @@ stage 2 by search.
 from fractions import Fraction
 
 
-def dense_rank(rows, p=None):
-    """Rank by plain Gaussian elimination. rows: lists over Fraction when
-    p is None, otherwise integers reduced mod p."""
+def dense_rref(rows, p=None):
+    """Nonzero rows of the reduced row echelon form, by plain Gauss-Jordan
+    elimination. rows: lists over Fraction when p is None, otherwise
+    integers reduced mod p."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
-        return 0
+        return []
     ncols = len(rows[0])
     r = 0
     for c in range(ncols):
@@ -44,7 +45,12 @@ def dense_rank(rows, p=None):
         r += 1
         if r == len(rows):
             break
-    return r
+    return rows[:r]
+
+
+def dense_rank(rows, p=None):
+    """Rank by plain Gaussian elimination; rows as for dense_rref."""
+    return len(dense_rref(rows, p))
 
 
 def path_blocks(gens, n, N):
@@ -137,6 +143,42 @@ def path_mass(C, N=8):
     for _ in range(N):
         P = mat_mul(C, P)
     return sum(sum(row) for row in P)
+
+
+def count_avoiding_paths(n, N):
+    """Transfer-matrix count of paths in the doubled n-cycle (arrows
+    a_k: k -> k+1 mod n and stars a_k*: k+1 -> k) whose written form never
+    contains a_k* immediately left of a_k. Entry (i, j) of the degree-d
+    coefficient counts such paths from j to i."""
+    from preproj.algebra import AlgebraError
+    from preproj.series import MatrixSeries
+
+    if n < 1:
+        raise AlgebraError("cycle length must be >= 1")
+    # generator k < n is a_k (k -> k+1); generator n+k is a_k* (k+1 -> k)
+    tail = [k % n for k in range(n)] + [(k + 1) % n for k in range(n)]
+    head = [(k + 1) % n for k in range(n)] + [k % n for k in range(n)]
+    gens = range(2 * n)
+
+    def allowed(left, right):
+        if tail[left] != head[right]:
+            return False
+        return not (left >= n and right == left - n)
+
+    mats = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
+    # count[g][j] = paths of the current degree from j whose leftmost factor
+    # is g
+    count = [[1 if tail[g] == j else 0 for j in range(n)] for g in gens]
+    for d in range(1, N + 1):
+        if d > 1:
+            count = [[sum(count[g2][j] for g2 in gens if allowed(g, g2))
+                      for j in range(n)] for g in gens]
+        M = [[0] * n for _ in range(n)]
+        for g in gens:
+            for j in range(n):
+                M[head[g]][j] += count[g][j]
+        mats.append(M)
+    return MatrixSeries(n, mats[:N + 1])
 
 
 def random_presentation(rng, field=None, max_vertices=3, max_generators=4,

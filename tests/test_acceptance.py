@@ -17,7 +17,6 @@ from preproj.algebra import (
     Generator,
     Presentation,
     associated_graded,
-    count_avoiding_paths,
     free_product,
     hilbert_series,
     preprojective_presentation,
@@ -47,7 +46,7 @@ from preproj.series import (
 )
 from preproj.torsion import torsion_check
 
-from bruteforce import random_presentation
+from bruteforce import count_avoiding_paths, random_presentation
 
 GF2 = FieldSpec(2)
 

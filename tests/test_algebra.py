@@ -3,14 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import naive_dims, path_mass, random_presentation, random_quiver
+from bruteforce import (
+    count_avoiding_paths,
+    naive_dims,
+    path_mass,
+    random_presentation,
+    random_quiver,
+)
 from preproj.algebra import (
     AlgebraError,
     GradedEngine,
     Generator,
     Presentation,
     associated_graded,
-    count_avoiding_paths,
     free_product,
     generator_matrix,
     hilbert_series,

@@ -236,15 +236,35 @@ def test_field_above_primality_bound_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field", ["f\u00b2", "f\u0663"])
+def test_unicode_digit_field_is_input_error(tmp_path, capsys, field):
+    # a superscript two and an Arabic-Indic three are not field sizes
+    code, out, err = run(tmp_path, capsys, A0, "hilbert", "--field", field)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_negative_degree_rejected(tmp_path, capsys):
     f = tmp_path / "q.quiver"
     f.write_text(A0, encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["hilbert", str(f), "--degree", "-1"])
-    assert exc.value.code == 2
+    _usage_error(capsys, ["hilbert", str(f), "--degree", "-1"])
+
+
+def test_malformed_flag_value_rejected(tmp_path, capsys):
+    f = tmp_path / "q.quiver"
+    f.write_text(A0, encoding="utf-8")
+    _usage_error(capsys, ["hilbert", str(f), "--degree", "abc"])
+    _usage_error(capsys, ["koszul", str(f), "--format", "xml"])
+    _usage_error(capsys, ["hilbert"])
 
 
 def test_unknown_command_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate", "x"])
-    assert exc.value.code == 2
+    _usage_error(capsys, ["frobnicate", "x"])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import dense_rank, dense_rref, random_presentation
+from preproj.algebra import GradedEngine, Presentation
 from preproj.field import (
     QQ,
     ExactMatrix,
@@ -11,8 +13,8 @@ from preproj.field import (
     PRIME_BOUND,
     FieldSpec,
     SparseRref,
+    back_substitute,
     is_prime,
-    rank,
     smith_normal_form,
 )
 
@@ -31,6 +33,11 @@ def test_parse():
         FieldSpec.parse("f1")
     with pytest.raises(FieldError):
         FieldSpec.parse("r")
+    # Unicode digits are not field sizes: a superscript two, an Arabic-Indic
+    # three, a fullwidth seven
+    for text in ("f\u00b2", "f\u0663", "f\uff17", "f"):
+        with pytest.raises(FieldError):
+            FieldSpec.parse(text)
 
 
 def trial_division(n):
@@ -92,31 +99,48 @@ def test_scalar_ops():
     assert GF3.neg(1) == 2
 
 
+def _matrix(data):
+    cols = len(data[0]) if data else 0
+    return ExactMatrix(len(data), cols, {
+        (r, c): v for r, line in enumerate(data) for c, v in enumerate(line)})
+
+
+def _rank(data, field):
+    """Rank of an integer matrix by SparseRref, checked against the dense
+    oracle."""
+    rows = [[field.convert(v) for v in line] for line in data]
+    ech = SparseRref(field)
+    for line in rows:
+        ech.add_row({c: v for c, v in enumerate(line) if v})
+    assert ech.rank == dense_rank(rows, field.p)
+    return ech.rank
+
+
 def test_rank_empty():
-    m = ExactMatrix(0, 0)
-    assert rank(m, QQ) == 0
-    assert rank(m, GF2) == 0
+    assert _rank([], QQ) == 0
+    assert _rank([], GF2) == 0
 
 
 def test_rank_identity_gf2():
-    assert rank(ExactMatrix.identity(2), GF2) == 2
+    assert _rank([[1, 0], [0, 1]], GF2) == 2
 
 
 def test_rank_drops_mod_2():
-    m = ExactMatrix.from_rows([[2, 4], [1, 2]])
-    assert rank(m, QQ) == 1
-    assert rank(m, GF2) == 1  # second row is (1, 0) mod 2
-    m = ExactMatrix.from_rows([[2, 4], [4, 8]])
-    assert rank(m, QQ) == 1
-    assert rank(m, GF2) == 0  # every entry even
+    m = [[2, 4], [1, 2]]
+    assert _rank(m, QQ) == 1
+    assert _rank(m, GF2) == 1  # second row is (1, 0) mod 2
+    m = [[2, 4], [4, 8]]
+    assert _rank(m, QQ) == 1
+    assert _rank(m, GF2) == 0  # every entry even
 
 
 def test_snf_identity():
-    assert smith_normal_form(ExactMatrix.identity(3)) == [1, 1, 1]
+    identity = _matrix([[int(i == j) for j in range(3)] for i in range(3)])
+    assert smith_normal_form(identity) == [1, 1, 1]
 
 
 def test_snf_hand():
-    assert smith_normal_form(ExactMatrix.from_rows([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(_matrix([[2, 0], [0, 3]])) == [1, 6]
 
 
 def test_snf_zero():
@@ -131,8 +155,7 @@ def test_snf_rejects_fractions():
 
 def test_snf_torsion_example():
     # rows (1,1) and (1,-1) span an index-2 sublattice of Z^2
-    m = ExactMatrix.from_rows([[1, 1], [1, -1]])
-    assert smith_normal_form(m) == [1, 2]
+    assert smith_normal_form(_matrix([[1, 1], [1, -1]])) == [1, 2]
 
 
 def _random_matrix(rng, r, c, lo=-4, hi=4):
@@ -143,28 +166,27 @@ def test_rank_vs_prime_fields_random():
     rng = random.Random(101)
     for _ in range(60):
         rows = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        m = ExactMatrix.from_rows(rows)
-        rq = rank(m, QQ)
+        rq = _rank(rows, QQ)
         for p in (2, 3, 5):
-            assert rank(m, FieldSpec(p)) <= rq
+            assert _rank(rows, FieldSpec(p)) <= rq
 
 
 def test_snf_chain_and_rank_random():
     rng = random.Random(202)
     for _ in range(60):
         rows = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        m = ExactMatrix.from_rows(rows)
+        m = _matrix(rows)
         divs = smith_normal_form(m)
         assert len(divs) == min(m.rows, m.cols)
         nonzero = [d for d in divs if d]
         assert divs[:len(nonzero)] == nonzero  # zeros trail
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
-        assert len(nonzero) == rank(m, QQ)
+        assert len(nonzero) == _rank(rows, QQ)
         # a divisor divisible by p costs exactly one unit of GF(p) rank
         for p in (2, 3):
             drop = sum(1 for d in nonzero if d % p == 0)
-            assert rank(m, FieldSpec(p)) == len(nonzero) - drop
+            assert _rank(rows, FieldSpec(p)) == len(nonzero) - drop
 
 
 def test_rank_and_snf_permutation_invariant():
@@ -172,29 +194,14 @@ def test_rank_and_snf_permutation_invariant():
     for _ in range(20):
         r, c = rng.randint(2, 5), rng.randint(2, 5)
         rows = _random_matrix(rng, r, c)
-        m = ExactMatrix.from_rows(rows)
         pr = list(range(r))
         pc = list(range(c))
         rng.shuffle(pr)
         rng.shuffle(pc)
-        shuffled = ExactMatrix.from_rows(
-            [[rows[i][j] for j in pc] for i in pr])
-        assert rank(shuffled, QQ) == rank(m, QQ)
-        assert smith_normal_form(shuffled) == smith_normal_form(m)
-
-
-def test_rref_modes_same_pivots():
-    rng = random.Random(404)
-    for _ in range(40):
-        rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        full = SparseRref(QQ, reduced=True)
-        fwd = SparseRref(QQ, reduced=False)
-        for row in rows:
-            d = {j: Fraction(v) for j, v in enumerate(row) if v}
-            full.add_row(dict(d))
-            fwd.add_row(dict(d))
-        assert sorted(full.rows) == sorted(fwd.rows)
-        assert full.rank == fwd.rank
+        shuffled = [[rows[i][j] for j in pc] for i in pr]
+        assert _rank(shuffled, QQ) == _rank(rows, QQ)
+        assert (smith_normal_form(_matrix(shuffled))
+                == smith_normal_form(_matrix(rows)))
 
 
 def _combine(history, originals, field):
@@ -210,7 +217,7 @@ def test_tracked_histories_reproduce_rows(field):
     rng = random.Random(505)
     for _ in range(25):
         originals = {}
-        ech = SparseRref(field, reduced=True, track=True)
+        ech = SparseRref(field, track=True)
         for t in range(rng.randint(2, 7)):
             row = {j: field.convert(rng.randint(-3, 3))
                    for j in range(rng.randint(1, 5))}
@@ -225,25 +232,71 @@ def test_tracked_histories_reproduce_rows(field):
                 assert combo == ech.rows[piv]
 
 
-def test_reduced_rows_canonical():
-    # same row space in a different order gives the identical table
-    rows_a = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
-    rows_b = [[1, 3, 1], [1, 2, 0], [2, 5, 1]]
-    out = []
-    for rows in (rows_a, rows_b):
-        ech = SparseRref(QQ, reduced=True)
-        for row in rows:
-            ech.add_row({j: Fraction(v) for j, v in enumerate(row) if v})
-        out.append({k: dict(v) for k, v in ech.rows.items()})
-    assert out[0] == out[1]
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_back_substitute_units_are_the_rref(field):
+    # the same rows in shuffled orders give identical units, the dense RREF
+    rng = random.Random(404)
+    for _ in range(40):
+        c = rng.randint(1, 6)
+        rows = [[field.convert(v) for v in line] for line in
+                _random_matrix(rng, rng.randint(1, 6), c, -2, 2)]
+        want = dense_rref(rows, field.p)
+        for _ in range(3):
+            rng.shuffle(rows)
+            ech = SparseRref(field)
+            for line in rows:
+                ech.add_row({j: v for j, v in enumerate(line) if v})
+            units, others = back_substitute(ech.rows, field)
+            assert others == []
+            got = [[units[k].get(j, 0) for j in range(c)]
+                   for k in sorted(units)]
+            assert got == want
+
+
+def test_back_substitute_over_z_keeps_non_unit_rows():
+    pivots = {0: {0: 2, 1: 3, 2: 1, 3: 7},
+              1: {1: 1, 2: 5, 3: 1},
+              2: {2: 1, 3: -1}}
+    units, others = back_substitute(pivots, QQ)
+    assert units == {2: {2: 1, 3: -1}, 1: {1: 1, 3: 6}}
+    # leading coefficient 2 is no unit; keys 1 and 2 are cleared from it
+    assert others == [{0: 2, 3: -10}]
+    for row in list(units.values()) + others:
+        assert all(type(v) is int for v in row.values())
+
+
+def _rewrite_tables(pres, top):
+    """left_mul_path on every candidate (g,) + w through degree top."""
+    engine = GradedEngine(pres)
+    out = {}
+    for d in range(top):
+        for w in engine.basis(d):
+            for g in range(len(pres.generators)):
+                out[(g, w)] = dict(engine.left_mul_path(g, w))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_rewrite_tables_independent_of_relation_order(field):
+    rng = random.Random(606)
+    done = 0
+    while done < 30:
+        pres = random_presentation(rng, field, max_vertices=2,
+                                   max_relations=4)
+        if pres is None or len(pres.relations) < 2:
+            continue
+        rels = [list(rel.terms) for rel in pres.relations]
+        rng.shuffle(rels)
+        # a unit multiple of a relation spans the same ideal
+        s = field.convert(rng.choice((2, -1)))
+        rels[0] = [(c * s, b, a) for c, b, a in rels[0]]
+        other = Presentation(pres.vertices, pres.generators, rels, field)
+        assert _rewrite_tables(other, 5) == _rewrite_tables(pres, 5)
+        done += 1
 
 
 def test_exact_matrix_validation():
     with pytest.raises(ValueError):
         ExactMatrix(1, 1, {(1, 0): 1})
-    with pytest.raises(ValueError):
-        ExactMatrix.from_rows([[1, 2], [3]])
-    m = ExactMatrix.from_rows([[0, 5]])
-    assert m.entries == {(0, 1): 5}
-    assert m.to_rows() == [[0, 5]]
-    assert m.row_dicts() == [{1: 5}]
+    m = ExactMatrix(1, 2, {(0, 0): 0, (0, 1): 5})
+    assert (m.rows, m.cols, m.entries) == (1, 2, {(0, 1): 5})
