@@ -197,6 +197,34 @@ def place_relation(terms, u, rewrite: dict, acc) -> dict:
     return row
 
 
+# Largest candidate count C . dims_{d-1} a degree's echelon may start on.
+# On the star with double arms to three leaves (centre and one leaf white)
+# degree 12 has 9,035,744 candidates and still builds; degree 13 has
+# 26,375,732 and is refused before its echelon starts.
+CANDIDATE_BOUND = 16_000_000
+
+
+class CandidateBoundError(RuntimeError):
+    """A degree whose candidate count exceeds CANDIDATE_BOUND. The degrees
+    below it were computed, so the answer is undetermined, not malformed
+    input: deliberately not an AlgebraError."""
+
+    def __init__(self, degree: int, candidates: int, bound: int):
+        super().__init__(
+            "degree %d has %d candidate paths, above the bound of %d"
+            % (degree, candidates, bound))
+        self.degree = degree
+        self.candidates = candidates
+        self.bound = bound
+
+
+def check_candidates(d: int, count: int) -> None:
+    """Refuse degree d before its echelon starts when its candidate count
+    exceeds CANDIDATE_BOUND."""
+    if count > CANDIDATE_BOUND:
+        raise CandidateBoundError(d, count, CANDIDATE_BOUND)
+
+
 class GradedEngine:
     """Degreewise quotient of the tensor algebra on the generators by the
     two-sided ideal of the relations.
@@ -209,25 +237,28 @@ class GradedEngine:
     suffix-closed and independent of relation listing order. The echelon
     only reduces forward; when a degree needs a rewrite table (pivot
     monomial -> basis expansion), field.back_substitute turns its pivot
-    rows into the canonical reduced echelon form, whose rows are the
-    rules. A degree computed without one (used for a final degree) gets it
-    on demand by a rebuild.
+    rows into the canonical reduced echelon form, whose rows are the rules.
 
-    Each degree stores its basis tuple, its rewrite table and its dims
-    matrix, nothing else. A candidate is a basis path exactly when it is not
-    a rewrite key, and the groupings of a basis by end or start vertex are
-    built on first use.
+    No candidate is listed to count a degree. The candidates in block
+    (i, j) number exactly (C . dims_{d-1})[i][j] and every pivot is a
+    candidate, so dims_d is that product minus the pivots per (end, start)
+    block. The product is compared with CANDIDATE_BOUND before the echelon
+    starts.
+
+    Each built degree stores its dims matrix and, unless it was built for
+    its count alone, its rewrite table. Its basis tuple (the candidates that
+    are not rewrite keys, in lex order) and the groupings of that tuple by
+    end or start vertex are made on first use; a degree counted without a
+    rewrite table is rebuilt with one first. Both the rebuild and the tuple
+    must reproduce the stored dims, or AssertionError is raised.
     """
 
     def __init__(self, pres: Presentation):
         self.pres = pres
         self.field = pres.field
         n = len(pres.vertices)
-        self._gens_by_tail: dict[int, list[int]] = {}
-        for k, g in enumerate(pres.generators):
-            self._gens_by_tail.setdefault(g.tail, []).append(k)
-        self._basis = [tuple(range(n)),
-                       tuple((k,) for k in range(len(pres.generators)))]
+        self._basis = {0: tuple(range(n)),
+                       1: tuple((k,) for k in range(len(pres.generators)))}
         self._rewrite: list[dict | None] = [{}, {}]
         self._dims = [[[int(i == j) for j in range(n)] for i in range(n)],
                       generator_matrix(pres)]
@@ -240,34 +271,60 @@ class GradedEngine:
         if out is None:
             gens = self.pres.generators
             out = {}
-            for m in self._basis[d]:
+            for m in self._basis_tuple(d):
                 v = gens[m[0]].head if by_end else gens[m[-1]].tail
                 out.setdefault(v, []).append(m)
             self._groups[(d, by_end)] = out
+        return out
+
+    def _basis_tuple(self, d: int) -> tuple:
+        """The degree-d basis, made on first use from the degree d-1 basis
+        grouped by end vertex: (g,) + w in lex order, rewrite keys left
+        out."""
+        out = self._basis.get(d)
+        if out is None:
+            self._ensure(d, True)
+            gens = self.pres.generators
+            rw = self._rewrite[d]
+            below = self._group(d - 1, True)
+            out = tuple(m for g in range(len(gens))
+                        for w in below.get(gens[g].tail, ())
+                        if (m := (g,) + w) not in rw)
+            n = len(self.pres.vertices)
+            M = [[0] * n for _ in range(n)]
+            for m in out:
+                M[gens[m[0]].head][gens[m[-1]].tail] += 1
+            if M != self._dims[d]:
+                raise AssertionError(
+                    "degree %d basis counts %r, stored dims %r"
+                    % (d, M, self._dims[d]))
+            self._basis[d] = out
         return out
 
     def path_end(self, m) -> int:
         return m if isinstance(m, int) else self.pres.generators[m[0]].head
 
     def _ensure(self, d: int, need_rewrite: bool) -> None:
-        if d <= 1:
+        """Build degrees 2..d: rewrite tables below d, and at d only when
+        need_rewrite."""
+        built = len(self._dims)
+        if built > d and (not need_rewrite or self._rewrite[d] is not None):
             return
-        if len(self._basis) > d and (self._rewrite[d] is not None
-                                     or not need_rewrite):
-            return
-        self._ensure(d - 1, True)
-        self._build(d, need_rewrite)
+        # only the top built degree can lack a rewrite table
+        for e in range(max(2, built - 1), d + 1):
+            want = need_rewrite or e < d
+            if e >= len(self._dims) or (want and self._rewrite[e] is None):
+                self._build(e, want)
 
     def _build(self, d: int, with_rewrite: bool) -> None:
         field = self.field
         gens = self.pres.generators
-        gbt = self._gens_by_tail
+        n = len(self.pres.vertices)
+        C, prev = self._dims[1], self._dims[d - 1]
+        M = [[sum(C[i][k] * prev[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        check_candidates(d, sum(map(sum, M)))
         acc = field.acc
-        cands = []
-        for w in self._basis[d - 1]:
-            for g in gbt.get(gens[w[0]].head, ()):
-                cands.append((g,) + w)
-        cands.sort()
         ech = SparseRref(field)
         rw = self._rewrite[d - 1]
 
@@ -279,24 +336,25 @@ class GradedEngine:
                     ech.add_row(row)
 
         pivots = ech.rows
-        basis = tuple(m for m in cands if m not in pivots)
+        for m in pivots:
+            M[gens[m[0]].head][gens[m[-1]].tail] -= 1
+        if any(v < 0 for row in M for v in row):
+            raise AssertionError(
+                "degree %d has more pivots than candidates: %r" % (d, M))
         rewrite = None
         if with_rewrite:
             units, _ = back_substitute(pivots, field)
             rewrite = {piv: {m: field.neg(c) for m, c in r.items() if m != piv}
                        for piv, r in units.items()}
-        if len(self._basis) > d:
-            # a degree built without rewrite table, upgraded in place; the
-            # pivot keys are canonical so the basis cannot change
-            if self._basis[d] != basis:
-                raise AssertionError("degree %d basis changed on rebuild" % d)
+        if len(self._dims) > d:
+            # a counted degree upgraded in place; the pivot keys are
+            # canonical, so its dims cannot change
+            if M != self._dims[d]:
+                raise AssertionError(
+                    "degree %d dims %r on rebuild, stored %r"
+                    % (d, M, self._dims[d]))
             self._rewrite[d] = rewrite
         else:
-            n = len(self.pres.vertices)
-            M = [[0] * n for _ in range(n)]
-            for m in basis:
-                M[gens[m[0]].head][gens[m[-1]].tail] += 1
-            self._basis.append(basis)
             self._rewrite.append(rewrite)
             self._dims.append(M)
 
@@ -304,13 +362,13 @@ class GradedEngine:
         """Degree-d basis paths (vertex indices at d=0), lexicographic."""
         if d < 0:
             raise AlgebraError("negative degree")
-        self._ensure(d, False)
-        return self._basis[d]
+        return self._basis_tuple(d)
 
     def basis_by_start(self, d: int, v: int):
         """Degree-d basis paths starting at vertex v (at d=0: the trivial
         path, keyed by the vertex index itself)."""
-        self._ensure(d, False)
+        if d < 0:
+            raise AlgebraError("negative degree")
         if d == 0:
             return (v,)
         return tuple(self._group(d, False).get(v, ()))
@@ -318,15 +376,16 @@ class GradedEngine:
     def dims(self, d: int) -> list[list[int]]:
         """Degree-d dims matrix (a fresh copy of the count stored when the
         degree was built)."""
+        if d < 0:
+            raise AlgebraError("negative degree")
         self._ensure(d, False)
         return [list(row) for row in self._dims[d]]
 
     def series(self, N: int) -> MatrixSeries:
-        """Dims to degree N; the final degree runs in forward-only mode."""
-        for d in range(2, N):
-            self._ensure(d, True)
-        if N >= 2:
-            self._ensure(N, False)
+        """Dims to degree N. Rewrite tables are built through N-1, basis
+        tuples through N-2 (the placements group the degree N-2 basis by
+        end vertex) and degree N is only counted."""
+        self._ensure(N, False)
         return MatrixSeries(len(self.pres.vertices),
                             [self.dims(d) for d in range(N + 1)])
 

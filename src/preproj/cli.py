@@ -5,7 +5,8 @@ presentation or the matrix closed form 1/(1 - Ct + D t^2), verify the two
 agree, and run the Koszulity and integer-torsion reports.
 
 Exit codes: 0 success or claim verified, 1 claim fails or is undetermined
-(a witness or the blocking cap is printed), 2 malformed input.
+(a witness or the blocking cap is printed, or a degree's candidate count
+exceeds the engine's bound), 2 malformed input.
 """
 
 import argparse
@@ -14,7 +15,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import AlgebraError, GradedEngine, preprojective_presentation
+from .algebra import (
+    AlgebraError,
+    CandidateBoundError,
+    GradedEngine,
+    preprojective_presentation,
+)
 from .field import FieldError, FieldSpec
 from .koszul import koszulity_verdict
 from .quiver import (
@@ -210,8 +216,18 @@ _COMMANDS = {
 }
 
 
+def _ascii_int(text: str) -> int:
+    """int() on ASCII text only: int() also reads other Unicode digits."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _nonneg(text: str) -> int:
-    v = int(text)
+    v = _ascii_int(text)
     if v < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return v
@@ -238,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest internal degree for Tor (default 8)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default tsv)")
-    common.add_argument("--seed", type=int, default=None, metavar="S",
+    common.add_argument("--seed", type=_ascii_int, default=None, metavar="S",
                         help="seed echoed into the report for reproducibility")
     p = _Parser(
         prog="preproj",
@@ -269,6 +285,9 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except CandidateBoundError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -67,6 +67,8 @@ class Quiver:
             t, h = doubled[key]
             if t not in black and h not in black:
                 raise QuiverError("gamma on %r, which touches no black vertex" % (key,))
+            if isinstance(val, str) and not val.isascii():
+                raise QuiverError("gamma %r = %r is not ASCII" % (key, val))
             q = Fraction(val)
             if q == 0:
                 raise QuiverError("gamma %r = 0" % (key,))
@@ -146,6 +148,8 @@ def parse_quiver(text: str) -> Quiver:
             key, val = (s.strip() for s in rest.split("=", 1))
             if key in gamma:
                 raise bad("duplicate gamma for %r" % key)
+            if not val.isascii():
+                raise bad("bad gamma value %r" % val)
             try:
                 gamma[key] = Fraction(val)
             except (ValueError, ZeroDivisionError):

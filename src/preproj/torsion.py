@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .algebra import (
     GradedEngine,
     Presentation,
+    check_candidates,
     generator_matrix,
     place_relation,
     preprojective_presentation,
@@ -186,6 +187,8 @@ def _integer_degrees(pres: Presentation, N: int):
     rewrite: dict = {}
     lattice: list = []
     for d in range(2, N + 1):
+        check_candidates(d, sum(len(by_tail.get(gens[w[0]].head, ()))
+                                for w in basis))
         pivots: dict = {}
         for start, terms in rels:
             for u in ((),) if older is None else older.get(start, ()):
@@ -231,7 +234,9 @@ def torsion_check(q, N: int) -> SmithReport:
 
     Every run checks the free ranks and the divisor counts against graded
     dimensions computed independently over the rationals and over GF(p),
-    raising AssertionError explicitly on any mismatch.
+    raising AssertionError explicitly on any mismatch. A degree with more
+    candidates than algebra.CANDIDATE_BOUND raises CandidateBoundError
+    before it is built.
     """
     pres = _integral_presentation(q)
     gens = pres.generators

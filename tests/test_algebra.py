@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import preproj
 from bruteforce import (
     count_avoiding_paths,
     naive_dims,
@@ -12,6 +16,7 @@ from bruteforce import (
 )
 from preproj.algebra import (
     AlgebraError,
+    CandidateBoundError,
     GradedEngine,
     Generator,
     Presentation,
@@ -235,7 +240,7 @@ def test_dims_with_gamma_match_naive():
 
 
 def test_dims_independent_of_build_order():
-    # asking for the top degree directly (forward mode) must agree with
+    # asking for the top degree directly (counted only) must agree with
     # the incremental climb used by series()
     p = preprojective_presentation(star_a(2))
     a = GradedEngine(p)
@@ -243,6 +248,15 @@ def test_dims_independent_of_build_order():
     b = GradedEngine(p)
     assert b.dims(6) == a.dims(6)
     assert GradedEngine(p).dims(6) == a.dims(6)
+
+
+def test_negative_degree_rejected():
+    # a negative index must not read the top built degree from the end
+    e = GradedEngine(preprojective_presentation(loop_quiver()))
+    e.series(4)
+    for call in (e.basis, e.dims, lambda d: e.basis_by_start(d, 0)):
+        with pytest.raises(AlgebraError, match="negative degree"):
+            call(-1)
 
 
 def test_basis_by_start_partitions_basis():
@@ -374,3 +388,116 @@ def test_count_avoiding_paths_matches_closed_form():
             C = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         assert got == closed_form(C, eye, 8)
+
+
+def _block_counts(pres, paths):
+    n = len(pres.vertices)
+    gens = pres.generators
+    M = [[0] * n for _ in range(n)]
+    for m in paths:
+        M[gens[m[0]].head][gens[m[-1]].tail] += 1
+    return M
+
+
+def _check_top_degree_on_demand(p, N):
+    # series(N) only counts degree N; asking for its basis, its groupings
+    # by start vertex and products landing in it rebuilds it, and all of
+    # them must reproduce the counted dims
+    e = GradedEngine(p)
+    s = e.series(N)
+    assert s.coeffs == naive_dims(p, N)
+    top = s[N]
+    by_mul = set()
+    for w in e.basis(N - 1):
+        for g in range(len(p.generators)):
+            by_mul.update(e.left_mul_path(g, w))
+    assert _block_counts(p, by_mul) == top
+    assert _block_counts(p, e.basis(N)) == top
+    by_start = [m for v in range(len(p.vertices))
+                for m in e.basis_by_start(N, v)]
+    assert sorted(by_start) == list(e.basis(N))
+    assert e.dims(N) == top
+
+
+def test_counted_top_degree_matches_built_basis_on_corpus():
+    quivers = [
+        (loop_quiver(), 6),
+        (a2_quiver(), 4),
+        (star_a(2), 5),
+        (star_a(2, white_node=False), 5),
+        (Quiver(["1", "2", "3", "4"],
+                [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                 Arrow("c", "3", "4"), Arrow("d", "4", "1")],
+                white=["2"]), 5),
+        (Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")]), 4),
+    ]
+    for field in (QQ, GF3):
+        for q, N in quivers:
+            _check_top_degree_on_demand(preprojective_presentation(q, field),
+                                        N)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_counted_top_degree_matches_built_basis_random(field):
+    rng = random.Random(913 if field is QQ else 914)
+    done = 0
+    while done < 15:
+        p = random_presentation(rng, field=field, mass_cap=4000)
+        if p is None:
+            continue
+        _check_top_degree_on_demand(p, 5)
+        done += 1
+
+
+def test_candidate_bound_refuses_before_the_echelon(monkeypatch):
+    # the two-loop double: C = [[4]], dims 1, 4, 15, 56, ...; degree 3 has
+    # 4 * 15 = 60 candidates
+    q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    e = GradedEngine(preprojective_presentation(q))
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    with pytest.raises(CandidateBoundError) as exc:
+        e.series(4)
+    assert not isinstance(exc.value, AlgebraError)
+    assert (exc.value.degree, exc.value.candidates, exc.value.bound) \
+        == (3, 60, 59)
+    assert str(exc.value) == (
+        "degree 3 has 60 candidate paths, above the bound of 59")
+    # the degrees below were computed and stay usable
+    assert e.dims(2) == [[15]]
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 60)
+    assert e.series(3)[3] == [[56]]
+
+
+# a stored dims entry raised by one must be caught when the basis tuple is
+# built: at a counted degree by the rebuild, at a degree that already has
+# its rewrite table by the tuple's block counts; python -O must not strip
+# either check
+FAULT_SCRIPT = """
+import sys
+from preproj.algebra import GradedEngine, preprojective_presentation
+from preproj.quiver import Arrow, Quiver
+
+q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+for d in (5, 4):
+    e = GradedEngine(preprojective_presentation(q))
+    e.series(5)
+    e._dims[d][0][1] += 1
+    try:
+        e.basis(d)
+    except AssertionError as exc:
+        print(sys.flags.optimize, exc)
+"""
+
+
+def test_lazy_basis_checks_survive_python_O():
+    src = Path(preproj.__file__).resolve().parent.parent
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", FAULT_SCRIPT],
+                             capture_output=True, text=True, timeout=120,
+                             env={"PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "%d degree 5 dims [[0, 6], [6, 0]] on rebuild, stored "
+            "[[0, 7], [6, 0]]" % len(flags),
+            "%d degree 4 basis counts [[5, 0], [0, 5]], stored dims "
+            "[[5, 1], [0, 5]]" % len(flags)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import preproj.algebra
 from preproj.cli import main
 from preproj.series import from_json_obj
 
@@ -250,6 +251,35 @@ def _usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--degree", "--imax", "--dmax", "--seed"])
+def test_unicode_digit_integer_flag_rejected(tmp_path, capsys, flag):
+    # int() reads an Arabic-Indic three as 3; a flag must not
+    f = tmp_path / "q.quiver"
+    f.write_text(A0, encoding="utf-8")
+    _usage_error(capsys, ["hilbert", str(f), flag, "\u0663"])
+    _usage_error(capsys, ["koszul", str(f), flag, "\u0664\u0662"])
+
+
+def test_unicode_digit_gamma_is_input_error(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, GAMMA2.replace("= 2", "= \u0663"),
+                         "hilbert", "--degree", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["hilbert", "koszul", "torsion"])
+def test_candidate_bound_is_undetermined(tmp_path, capsys, monkeypatch,
+                                         command):
+    # degree 3 of the two-loop double has 4 * 15 = 60 candidates; over a
+    # bound of 59 every command stops with exit 1 (undetermined), not 2
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    code, out, err = run(tmp_path, capsys, TWOLOOP, command,
+                         "--degree", "4", "--dmax", "4")
+    assert code == 1 and out == ""
+    assert err == ("error: degree 3 has 60 candidate paths, above the bound"
+                   " of 59\n")
 
 
 def test_negative_degree_rejected(tmp_path, capsys):

@@ -63,6 +63,8 @@ def test_construction_errors():
         Quiver(["v"], [Arrow("a", "v", "v")], gamma={"b": 1})
     with pytest.raises(QuiverError):
         Quiver(["v"], [Arrow("a", "v", "v")], gamma={"a": 0})
+    with pytest.raises(QuiverError):
+        Quiver(["v"], [Arrow("a", "v", "v")], gamma={"a": "\u0663"})
     # gamma must touch a black vertex
     with pytest.raises(QuiverError):
         Quiver(["v"], [Arrow("a", "v", "v")], white=["v"], gamma={"a": 1})
@@ -92,6 +94,9 @@ def test_parse_basic():
     ("vertices: 1\narrow a: 1 -> 1\ngamma a = x", "gamma"),
     ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1\ngamma a = 2", "duplicate"),
     ("vertices: 1\narrow a: 1 -> 1\ngamma a = 0", "gamma"),
+    # int() and Fraction() read these non-ASCII digits as 3 and 1/2
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = \u0663", "gamma"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = \uff11/\uff12", "gamma"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(QuiverError) as e:

@@ -2,9 +2,15 @@
 
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import preproj
+from preproj.algebra import GradedEngine, preprojective_presentation
+from preproj.field import QQ, FieldSpec
+from preproj.quiver import Arrow, Quiver
 
 SRC = Path(preproj.__file__).resolve().parent
 
@@ -41,3 +47,26 @@ def test_package_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, "non-stdlib import in the package: %s" % ", ".join(found)
+
+
+STAR_222 = Quiver(["c", "v1", "v2", "v3"],
+                  [Arrow("a%d_%d" % (i, k), "v%d" % i, "c")
+                   for i in (1, 2, 3) for k in (1, 2)],
+                  white=["c", "v3"])
+TWO_LOOP = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+
+
+@pytest.mark.parametrize("q,field", [(STAR_222, QQ), (TWO_LOOP, FieldSpec(2))],
+                         ids=["star222-w3", "two-loop-f2"])
+def test_series_memory_stays_bounded(q, field):
+    # series(8) counts degree 8 without listing it, about 3 MB traced on
+    # both quivers; listing its candidates and basis again takes 9-13 MB
+    # and fails the bound
+    pres = preprojective_presentation(q, field)
+    tracemalloc.start()
+    try:
+        GradedEngine(pres).series(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
