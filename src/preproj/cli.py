@@ -22,7 +22,7 @@ from .algebra import (
     preprojective_presentation,
 )
 from .field import FieldError, FieldSpec
-from .koszul import koszulity_verdict
+from . import koszul
 from .quiver import (
     DYNKIN,
     EXTENDED,
@@ -140,8 +140,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_koszul(cfg: RunConfig) -> int:
     q = _load(cfg)
     pres = preprojective_presentation(q, cfg.field)
-    v = koszulity_verdict(pres, N=cfg.degree, i_max=cfg.i_max,
-                          d_max=cfg.d_max)
+    v = koszul.koszulity_verdict(pres, N=cfg.degree, i_max=cfg.i_max,
+                                 d_max=cfg.d_max)
     names = q.vertices
     wit_objs = []
     lines = []
@@ -172,8 +172,9 @@ def cmd_koszul(cfg: RunConfig) -> int:
                          % v.series_degree])
         return 0
     if not lines:
-        lines.append("undetermined: Tor cells skipped by the column cap: %s"
-                     % ", ".join("(%d, %d)" % c for c in v.tor.partial))
+        lines.append("undetermined: Tor cells skipped by the column cap of"
+                     " %d columns: %s" % (koszul.TOR_COLUMN_CAP, ", ".join(
+                         "(%d, %d)" % c for c in v.tor.partial)))
     _emit(cfg, obj, ["not Koszul up to (%d, %d)" % v.koszul_up_to] + lines)
     return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 class FieldError(ValueError):
@@ -286,121 +287,49 @@ def smith_normal_form(m: ExactMatrix) -> list[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     Returns min(rows, cols) nonnegative integers, nonzero divisors first,
-    each dividing the next, zeros trailing.
+    each dividing the next, zeros trailing. The pivot is an entry of least
+    absolute value, ties by (row, col). Row operations reduce its column
+    mod the pivot; with the column clear, a column operation changes only
+    the pivot row, which is reduced mod the pivot the same way. A nonzero
+    remainder is a smaller pivot, so the search starts over; a pivot alone
+    in its row and column is recorded and its row dropped. The recorded
+    pivots become the chain by diag(a, b) ~ diag(gcd, lcm).
     """
-    for v in m.entries.values():
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in m.entries.items():
         if not isinstance(v, int):
             raise ValueError("smith_normal_form needs integer entries, got %r" % (v,))
-    rows: dict[int, dict[int, int]] = {}
-    col_index: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        if not v:
-            continue
-        rows.setdefault(r, {})[c] = v
-        col_index.setdefault(c, set()).add(r)
-
-    def axpy_row(dst: int, c: int, src: int) -> None:
-        drow = rows.setdefault(dst, {})
-        for col, v in rows.get(src, {}).items():
-            nv = drow.get(col, 0) + c * v
-            if nv:
-                drow[col] = nv
-                col_index.setdefault(col, set()).add(dst)
-            elif col in drow:
-                del drow[col]
-                col_index[col].discard(dst)
-        if not drow:
-            del rows[dst]
-
-    active_rows = set(range(m.rows))
-    active_cols = set(range(m.cols))
-    divisors: list[int] = []
-    total = min(m.rows, m.cols)
-
-    while len(divisors) < total:
-        # smallest |value| pivot among active entries, ties by position,
-        # keeps intermediate growth down
-        best = None
-        for r in active_rows & rows.keys():
-            for c, v in rows[r].items():
-                if c not in active_cols:
-                    continue
-                key = (abs(v), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            divisors.extend([0] * (total - len(divisors)))
-            break
-        _, pr, pc = best
-        while True:
-            pv = rows[pr][pc]
-            # clear the pivot column by row operations; a nonzero remainder
-            # becomes the new, smaller pivot
-            again = False
-            for r in sorted((col_index.get(pc) or set()) & active_rows):
-                if r == pr:
-                    continue
-                v = rows.get(r, {}).get(pc, 0)
-                if not v:
-                    continue
-                q = v // pv
-                if q:
-                    axpy_row(r, -q, pr)
-                if rows.get(r, {}).get(pc):
-                    pr = r
-                    again = True
-                    break
-            if again:
-                continue
-            # clear the pivot row by column operations (columns live only in
-            # the index, so do it entrywise)
-            prow = rows[pr]
-            moved = False
-            for c in sorted(set(prow) & active_cols):
-                if c == pc:
-                    continue
-                q, rem = divmod(prow[c], pv)
-                if q:
-                    for r in sorted((col_index.get(c) or set()) | {pr}):
-                        if r not in active_rows and r != pr:
-                            continue
-                        rrow = rows.get(r)
-                        if rrow is None:
-                            continue
-                        nv = rrow.get(c, 0) - q * rrow.get(pc, 0)
-                        if nv:
-                            rrow[c] = nv
-                            col_index.setdefault(c, set()).add(r)
-                        elif c in rrow:
-                            del rrow[c]
-                            col_index[c].discard(r)
-                if rem:
-                    pc = c
-                    moved = True
-                    break
-            if moved:
-                continue
-            # pivot row and column are clean; enforce divisibility
-            bad = None
-            for r in active_rows & rows.keys():
-                if r == pr:
-                    continue
-                for c, v in rows[r].items():
-                    if c in active_cols and v % pv:
-                        bad = r
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            axpy_row(pr, 1, bad)
-        divisors.append(abs(rows[pr][pc]))
-        active_rows.discard(pr)
-        active_cols.discard(pc)
-
-    nonzero = sorted(d for d in divisors if d)
-    out = nonzero + [0] * (len(divisors) - len(nonzero))
-    for i in range(len(nonzero) - 1):
-        if nonzero[i + 1] % nonzero[i]:
-            raise AssertionError("divisor chain broken: %r" % (out,))
-    return out
+        if v:
+            rows.setdefault(r, {})[c] = v
+    pivots: list[int] = []
+    while rows:
+        _, pr, pc = min((abs(v), r, c) for r, row in rows.items()
+                        for c, v in row.items())
+        prow = rows[pr]
+        p = prow[pc]
+        clear = True
+        for r, row in list(rows.items()):
+            if r != pr and pc in row:
+                QQ.row_axpy(row, -(row[pc] // p), prow)
+                if not row:
+                    del rows[r]
+                elif pc in row:
+                    clear = False
+        if clear:
+            rows[pr] = {c: v % p for c, v in prow.items() if v % p}
+            if rows[pr]:
+                rows[pr][pc] = p
+            else:
+                pivots.append(abs(p))
+                del rows[pr]
+    chain = sorted(pivots)
+    # the leading ones divide everything, so the gcd/lcm pass starts after
+    for i in range(chain.count(1), len(chain)):
+        for j in range(i + 1, len(chain)):
+            if chain[j] % chain[i]:
+                g = gcd(chain[i], chain[j])
+                chain[i], chain[j] = g, chain[i] // g * chain[j]
+    for a, b in zip(chain, chain[1:]):
+        if b % a:
+            raise AssertionError("divisor chain broken: %r" % (chain,))
+    return chain + [0] * (min(m.rows, m.cols) - len(chain))

@@ -43,6 +43,10 @@ from .series import (
     termwise_compare,
 )
 
+# Most columns a Tor degree from stage 3 on may have; a larger one is not
+# echeloned, and it and every cell downstream are reported partial.
+TOR_COLUMN_CAP = 200000
+
 
 @dataclass(frozen=True)
 class GSReport:
@@ -269,8 +273,7 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
 
 
 def tor_dimensions(p: Presentation, i_max: int = 3, d_max: int = 8,
-                   engine: GradedEngine | None = None,
-                   column_cap: int = 200000) -> TorTable:
+                   engine: GradedEngine | None = None) -> TorTable:
     """Graded Tor dims from a minimal free resolution of the vertex ring by
     free left modules, built stage by stage.
 
@@ -281,7 +284,7 @@ def tor_dimensions(p: Presentation, i_max: int = 3, d_max: int = 8,
     span of the generators already chosen. The stage-3 kernel is the kernel
     of A(x)R -> A(x)V, so its dims are checked block by block against
     h_A(1-Ct+Dt^2)-1, and a disagreement raises. Cells whose column count
-    exceeds column_cap are reported as partial, together with everything
+    exceeds TOR_COLUMN_CAP are reported as partial, together with everything
     downstream of them; only stages 3 and up can be partial.
     """
     engine = engine or GradedEngine(p)
@@ -305,7 +308,7 @@ def tor_dimensions(p: Presentation, i_max: int = 3, d_max: int = 8,
         expect = _kernel_series(p, d_max, engine) if i == 3 else None
         d_min = min(g.degree for g in gens)
         gens, tor, part_from = _syzygy_stage(engine, gens, d_min, d_max,
-                                             column_cap, expect)
+                                             TOR_COLUMN_CAP, expect)
         for d in range(d_max + 1):
             if part_from is not None and d >= part_from:
                 partial.append((i, d))

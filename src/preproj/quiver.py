@@ -35,6 +35,21 @@ class Classification:
     label: str | None
 
 
+def _gamma_value(val) -> Fraction | None:
+    """val as a Fraction if it is an int (not a bool), a Fraction, or text of
+    the file grammar: a sign, ASCII digits, then /digits or .digits; else
+    None."""
+    if isinstance(val, str):
+        body = val[1:] if val[:1] in ("+", "-") else val
+        parts = body.split("/" if "/" in body else ".")
+        if (len(parts) > 2 or not all(t.isascii() and t.isdigit() for t in parts)
+                or "/" in body and not int(parts[1])):
+            return None
+    elif isinstance(val, bool) or not isinstance(val, (int, Fraction)):
+        return None
+    return Fraction(val)
+
+
 class Quiver:
     def __init__(self, vertices, arrows, white=(), gamma=None):
         self.vertices = tuple(vertices)
@@ -67,9 +82,10 @@ class Quiver:
             t, h = doubled[key]
             if t not in black and h not in black:
                 raise QuiverError("gamma on %r, which touches no black vertex" % (key,))
-            if isinstance(val, str) and not val.isascii():
-                raise QuiverError("gamma %r = %r is not ASCII" % (key, val))
-            q = Fraction(val)
+            q = _gamma_value(val)
+            if q is None:
+                raise QuiverError("gamma %r = %r is not an int, a Fraction or"
+                                  " a number in the file grammar" % (key, val))
             if q == 0:
                 raise QuiverError("gamma %r = 0" % (key,))
             self.gamma[key] = q
@@ -106,8 +122,9 @@ def parse_quiver(text: str) -> Quiver:
     """Parse the quiver file format.
 
     Lines: 'vertices: v1 v2 ...', 'arrow name: tail -> head',
-    'white: vi vj ...', 'gamma key = value' (value an integer or num/den,
-    key an arrow name optionally with a trailing *). '#' starts a comment.
+    'white: vi vj ...', 'gamma key = value' (value an integer, num/den or
+    a decimal in ASCII digits with an optional sign, see _gamma_value; key
+    an arrow name optionally with a trailing *). '#' starts a comment.
     """
     vertices: list[str] = []
     arrows: list[Arrow] = []
@@ -148,12 +165,10 @@ def parse_quiver(text: str) -> Quiver:
             key, val = (s.strip() for s in rest.split("=", 1))
             if key in gamma:
                 raise bad("duplicate gamma for %r" % key)
-            if not val.isascii():
+            value = _gamma_value(val)
+            if value is None:
                 raise bad("bad gamma value %r" % val)
-            try:
-                gamma[key] = Fraction(val)
-            except (ValueError, ZeroDivisionError):
-                raise bad("bad gamma value %r" % val)
+            gamma[key] = value
         else:
             raise bad("unrecognized line %r" % line)
     try:

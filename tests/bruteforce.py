@@ -3,10 +3,11 @@
 Everything here enumerates paths explicitly and row-reduces dense matrices.
 No code is shared with the incremental engine: dimensions come straight
 from the definition (#paths minus the rank of the two-sided relation span
-in the full path basis). The one exception is tor_by_search, which runs the
-package's own syzygy search from stage 1 on, so that the Koszul-complex
-start of tor_dimensions is checked against a resolution that finds its
-stage 2 by search.
+in the full path basis), and Smith chains from reference_smith, which
+shares no code with field.smith_normal_form. The one exception is
+tor_by_search, which runs the package's own syzygy search from stage 1 on,
+so that the Koszul-complex start of tor_dimensions is checked against a
+resolution that finds its stage 2 by search.
 """
 
 from fractions import Fraction
@@ -51,6 +52,26 @@ def dense_rref(rows, p=None):
 def dense_rank(rows, p=None):
     """Rank by plain Gaussian elimination; rows as for dense_rref."""
     return len(dense_rref(rows, p))
+
+
+def integer_rank(rows):
+    """Rank over Q of an integer matrix (a list of equal-length int lists)
+    by fraction-free Bareiss elimination: every division is exact, so no
+    Fraction is made."""
+    a = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        p = a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(p[c] * x - f * y) // prev for x, y in zip(a[i], p)]
+        prev = p[c]
+        rank += 1
+    return rank
 
 
 def path_blocks(gens, n, N):
@@ -99,6 +120,133 @@ def naive_dims(pres, N):
     return out
 
 
+def reference_smith(m):
+    """Elementary divisors d_1 | d_2 | ... of an integer ExactMatrix, by an
+    independent routine: a column index beside the sparse rows, pivot row
+    and column cleared entry by entry, and an explicit divisibility phase
+    that adds a row holding a non-multiple of the pivot to the pivot row.
+
+    Returns min(rows, cols) nonnegative integers, nonzero divisors first,
+    each dividing the next, zeros trailing.
+    """
+    for v in m.entries.values():
+        if not isinstance(v, int):
+            raise ValueError("smith_normal_form needs integer entries, got %r" % (v,))
+    rows: dict[int, dict[int, int]] = {}
+    col_index: dict[int, set[int]] = {}
+    for (r, c), v in m.entries.items():
+        if not v:
+            continue
+        rows.setdefault(r, {})[c] = v
+        col_index.setdefault(c, set()).add(r)
+
+    def axpy_row(dst: int, c: int, src: int) -> None:
+        drow = rows.setdefault(dst, {})
+        for col, v in rows.get(src, {}).items():
+            nv = drow.get(col, 0) + c * v
+            if nv:
+                drow[col] = nv
+                col_index.setdefault(col, set()).add(dst)
+            elif col in drow:
+                del drow[col]
+                col_index[col].discard(dst)
+        if not drow:
+            del rows[dst]
+
+    active_rows = set(range(m.rows))
+    active_cols = set(range(m.cols))
+    divisors: list[int] = []
+    total = min(m.rows, m.cols)
+
+    while len(divisors) < total:
+        # smallest |value| pivot among active entries, ties by position,
+        # keeps intermediate growth down
+        best = None
+        for r in active_rows & rows.keys():
+            for c, v in rows[r].items():
+                if c not in active_cols:
+                    continue
+                key = (abs(v), r, c)
+                if best is None or key < best[0]:
+                    best = (key, r, c)
+        if best is None:
+            divisors.extend([0] * (total - len(divisors)))
+            break
+        _, pr, pc = best
+        while True:
+            pv = rows[pr][pc]
+            # clear the pivot column by row operations; a nonzero remainder
+            # becomes the new, smaller pivot
+            again = False
+            for r in sorted((col_index.get(pc) or set()) & active_rows):
+                if r == pr:
+                    continue
+                v = rows.get(r, {}).get(pc, 0)
+                if not v:
+                    continue
+                q = v // pv
+                if q:
+                    axpy_row(r, -q, pr)
+                if rows.get(r, {}).get(pc):
+                    pr = r
+                    again = True
+                    break
+            if again:
+                continue
+            # clear the pivot row by column operations (columns live only in
+            # the index, so do it entrywise)
+            prow = rows[pr]
+            moved = False
+            for c in sorted(set(prow) & active_cols):
+                if c == pc:
+                    continue
+                q, rem = divmod(prow[c], pv)
+                if q:
+                    for r in sorted((col_index.get(c) or set()) | {pr}):
+                        if r not in active_rows and r != pr:
+                            continue
+                        rrow = rows.get(r)
+                        if rrow is None:
+                            continue
+                        nv = rrow.get(c, 0) - q * rrow.get(pc, 0)
+                        if nv:
+                            rrow[c] = nv
+                            col_index.setdefault(c, set()).add(r)
+                        elif c in rrow:
+                            del rrow[c]
+                            col_index[c].discard(r)
+                if rem:
+                    pc = c
+                    moved = True
+                    break
+            if moved:
+                continue
+            # pivot row and column are clean; enforce divisibility
+            bad = None
+            for r in active_rows & rows.keys():
+                if r == pr:
+                    continue
+                for c, v in rows[r].items():
+                    if c in active_cols and v % pv:
+                        bad = r
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            axpy_row(pr, 1, bad)
+        divisors.append(abs(rows[pr][pc]))
+        active_rows.discard(pr)
+        active_cols.discard(pc)
+
+    nonzero = sorted(d for d in divisors if d)
+    out = nonzero + [0] * (len(divisors) - len(nonzero))
+    for i in range(len(nonzero) - 1):
+        if nonzero[i + 1] % nonzero[i]:
+            raise AssertionError("divisor chain broken: %r" % (out,))
+    return out
+
+
 def naive_divisors(pres, N):
     """Smith chains of the integer placement matrices by definition: for
     every degree 2..N and block, the rows are all placements
@@ -106,7 +254,7 @@ def naive_divisors(pres, N):
     normal form of that matrix. Returns {(d, end, start): chain} over the
     blocks with at least one placement; pres is over Q with integer
     relation coefficients."""
-    from preproj.field import ExactMatrix, smith_normal_form
+    from preproj.field import ExactMatrix
 
     blocks = path_blocks(pres.generators, len(pres.vertices), N)
     out = {}
@@ -125,7 +273,7 @@ def naive_divisors(pres, N):
                                     int(c))
                             nrows += 1
             if nrows:
-                out[(d, i, j)] = tuple(smith_normal_form(
+                out[(d, i, j)] = tuple(reference_smith(
                     ExactMatrix(nrows, len(cols), entries)))
     return out
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import preproj.algebra
+import preproj.koszul
 from preproj.cli import main
 from preproj.series import from_json_obj
 
@@ -269,6 +270,18 @@ def test_unicode_digit_gamma_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1_0", "1e3"])
+@pytest.mark.parametrize("command", ["classify", "torsion"])
+def test_gamma_outside_grammar_is_input_error(tmp_path, capsys, value,
+                                              command):
+    # Fraction() reads these as 10 and 1000: classify exited 0 and torsion
+    # saw a non-unit gamma
+    code, out, err = run(tmp_path, capsys,
+                         A0 + "gamma l = %s\n" % value, command)
+    assert code == 2 and out == ""
+    assert err == "error: line 3: bad gamma value %r\n" % value
+
+
 @pytest.mark.parametrize("command", ["hilbert", "koszul", "torsion"])
 def test_candidate_bound_is_undetermined(tmp_path, capsys, monkeypatch,
                                          command):
@@ -280,6 +293,18 @@ def test_candidate_bound_is_undetermined(tmp_path, capsys, monkeypatch,
     assert code == 1 and out == ""
     assert err == ("error: degree 3 has 60 candidate paths, above the bound"
                    " of 59\n")
+
+
+def test_tor_column_cap_is_named(tmp_path, capsys, monkeypatch):
+    # a bounded verdict names its bound: with the cap at 5 columns the
+    # A~2 stage-3 cells are skipped and the line says which cap did it
+    monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", 5)
+    code, out, _ = run(tmp_path, capsys, A2T, "koszul")
+    assert code == 1
+    assert out.splitlines() == [
+        "not Koszul up to (3, 8)",
+        "undetermined: Tor cells skipped by the column cap of 5 columns:"
+        " (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8)"]
 
 
 def test_negative_degree_rejected(tmp_path, capsys):

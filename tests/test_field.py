@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import dense_rank, dense_rref, random_presentation
+from bruteforce import (
+    dense_rank,
+    dense_rref,
+    integer_rank,
+    random_presentation,
+    reference_smith,
+)
 from preproj.algebra import GradedEngine, Presentation
 from preproj.field import (
     QQ,
@@ -202,6 +208,41 @@ def test_rank_and_snf_permutation_invariant():
         assert _rank(shuffled, QQ) == _rank(rows, QQ)
         assert (smith_normal_form(_matrix(shuffled))
                 == smith_normal_form(_matrix(rows)))
+
+
+def _sparse_matrix(rng, r, c, density, bound):
+    return [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(c)] for _ in range(r)]
+
+
+def test_snf_matches_reference_random():
+    # the runtime routine against the independent one the oracles use
+    rng = random.Random(404)
+    for _ in range(500):
+        rows = _sparse_matrix(rng, rng.randint(1, 12), rng.randint(1, 12),
+                              rng.choice((0.2, 0.5, 1.0)),
+                              rng.choice((1, 3, 9, 30)))
+        m = _matrix(rows)
+        assert smith_normal_form(m) == reference_smith(m), rows
+
+
+def test_snf_sparse_chains_match_ranks():
+    # a nonzero divisor counts once in the rank over Q and once in the rank
+    # over GF(p) unless p divides it. The reference routine needs minutes
+    # for these sizes, so ranks are the oracle; the 4% draws are rank
+    # deficient with divisors up to 36
+    rng = random.Random(40)
+    for _ in range(12):
+        rows = _sparse_matrix(rng, rng.randint(40, 70), rng.randint(40, 70),
+                              rng.choice((0.04, 0.15)), 3)
+        nonzero = [d for d in smith_normal_form(_matrix(rows)) if d]
+        assert len(nonzero) == integer_rank(rows)
+        for p in (2, 3, 5, 7, 11, 13):
+            field = FieldSpec(p)
+            ech = SparseRref(field)
+            for line in rows:
+                ech.add_row({c: v % p for c, v in enumerate(line) if v % p})
+            assert ech.rank == sum(1 for d in nonzero if d % p), p
 
 
 def _combine(history, originals, field):

@@ -186,13 +186,13 @@ def test_euler_characteristic_identity():
         assert total == identity_series(n, i_max)
 
 
-def test_column_cap_reports_partial():
+def test_column_cap_reports_partial(monkeypatch):
     pres = cycle3_pres()
-    t = tor_dimensions(pres, i_max=3, d_max=6, column_cap=5)
-    assert t.partial
     v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
     assert v.koszul  # default cap is far above this size
-    small = tor_dimensions(pres, i_max=3, d_max=6, column_cap=5)
+    monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", 5)
+    small = tor_dimensions(pres, i_max=3, d_max=6)
+    assert small.partial
     assert not all((i, d) in small.entries
                    for i in range(4) for d in range(7))
     # stages 0-2 are read off the Koszul complex, so the cap can only

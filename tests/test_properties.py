@@ -21,7 +21,7 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 
 
 @st.composite
-def int_matrices(draw, max_side=5, bound=12):
+def int_matrices(draw, max_side=8, bound=12):
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
     entry = st.integers(-bound, bound)

@@ -97,11 +97,45 @@ def test_parse_basic():
     # int() and Fraction() read these non-ASCII digits as 3 and 1/2
     ("vertices: 1\narrow a: 1 -> 1\ngamma a = \u0663", "gamma"),
     ("vertices: 1\narrow a: 1 -> 1\ngamma a = \uff11/\uff12", "gamma"),
+    # Fraction() reads the first four as 10, 1000, a zero division and
+    # 0.5; the grammar is a sign, ASCII digits, then /digits or .digits
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1_0", "bad gamma value"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1e3", "bad gamma value"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1/0", "bad gamma value"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = .5", "bad gamma value"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1/-2", "bad gamma value"),
+    ("vertices: 1\narrow a: 1 -> 1\ngamma a = 1.2.3", "bad gamma value"),
 ])
 def test_parse_errors(text, msg):
     with pytest.raises(QuiverError) as e:
         parse_quiver(text)
     assert msg in str(e.value).lower()
+
+
+def test_parse_gamma_grammar():
+    q = parse_quiver("vertices: 1\narrow a: 1 -> 1\n"
+                     "gamma a = +3\ngamma a* = -1.25\n")
+    assert q.gamma == {"a": Fraction(3), "a*": Fraction(-5, 4)}
+    q = parse_quiver("vertices: 1\narrow a: 1 -> 1\ngamma a = -06/4\n")
+    assert q.gamma == {"a": Fraction(-3, 2)}
+
+
+@pytest.mark.parametrize("val", ["x", "1/0", "1_0", "1e3", " 2", None, 0.1,
+                                 True, [1]])
+def test_quiver_gamma_value_rejected(val):
+    # 'x', '1/0', None and [1] used to raise ValueError, ZeroDivisionError
+    # or TypeError; the others were taken silently
+    with pytest.raises(QuiverError):
+        Quiver(["v"], [Arrow("a", "v", "v")], gamma={"a": val})
+
+
+@pytest.mark.parametrize("val,want", [(2, Fraction(2)),
+                                      (Fraction(1, 3), Fraction(1, 3)),
+                                      ("-3/4", Fraction(-3, 4)),
+                                      ("0.5", Fraction(1, 2))])
+def test_quiver_gamma_value_accepted(val, want):
+    q = Quiver(["v"], [Arrow("a", "v", "v")], gamma={"a": val})
+    assert q.gamma == {"a": want}
 
 
 def test_double_loop():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,6 +14,7 @@ from preproj.field import QQ, FieldSpec
 from preproj.quiver import Arrow, Quiver
 
 SRC = Path(preproj.__file__).resolve().parent
+SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 def test_package_has_no_assert_statements():
@@ -47,6 +49,28 @@ def test_package_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, "non-stdlib import in the package: %s" % ", ".join(found)
+
+
+def test_bench_span_targets_resolve():
+    # the bench's --trace run wraps these by name from outside the package;
+    # SPANS is read from the file's syntax tree, so nothing under bench/ is
+    # imported or written, and a rename in the package fails here
+    tree = ast.parse(SPANS_FILE.read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "SPANS"
+                         for t in node.targets))
+    assert spans
+    missing = []
+    # install() also replaces SparseRref.add_row
+    for modname, attr, _ in spans + [("preproj.field", "SparseRref.add_row",
+                                      "")]:
+        owner = importlib.import_module(modname)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (modname, attr))
+    assert not missing, "bench span targets gone: %s" % ", ".join(missing)
 
 
 STAR_222 = Quiver(["c", "v1", "v2", "v3"],
