@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, FieldSpec, SparseRref, back_substitute
+from .field import QQ, FieldError, FieldSpec, SparseRref, back_substitute
 from .quiver import Quiver, double
-from .series import MatrixSeries
+from .series import MatrixSeries, closed_form, is_termwise_nonnegative
 
 
 class AlgebraError(ValueError):
@@ -437,9 +437,62 @@ class GradedEngine:
         return vec
 
 
+# The prime of the modular route hilbert_series tries over Q: the largest
+# prime below 2**31. Every denominator below it is a unit mod it, and a
+# product of two residues stays a small int.
+WORD_PRIME = 2**31 - 1
+
+
 def hilbert_series(p: Presentation, N: int,
                    engine: GradedEngine | None = None) -> MatrixSeries:
-    return (engine or GradedEngine(p)).series(N)
+    """Dims of p to degree N: engine.series(N) when an engine is given.
+
+    Otherwise the closed form cf = (I - Ct + Dt^2)^{-1} comes first, with D
+    the relation dims over p's field, and two inequalities are used.
+
+    (1) h >= cf termwise wherever cf >= 0, over any field. For a quadratic
+    algebra the complex A(x)R -> A(x)V -> A -> k -> 0 is exact except at
+    A(x)R (Polishchuk-Positselski, Quadratic Algebras, ch. 2). Counting
+    dims block by block, with K the kernel at A(x)R, gives
+    h (I - Ct + Dt^2) = I + h_K with h_K >= 0, so h = cf + h_K cf, and
+    h_K cf >= 0 when cf >= 0. Hence degree d has at least C . cf_{d-1}
+    candidates, and the first d <= N where that passes CANDIDATE_BOUND is
+    refused before any echelon starts. The count named is exact where
+    h = cf, a lower bound elsewhere; the engine would refuse by degree d.
+
+    (2) h_Q <= h_p termwise, for a prime p that divides no denominator of
+    the relations. The placement rows of degree d have entries in Z_(p),
+    and reduced mod p they span the degree-d ideal of the relations
+    reduced mod p. Rank can only fall under reduction (a minor nonzero
+    mod p is nonzero over Q), and the rows are block-diagonal in
+    (end, start), so each block of the ideal is at least as large over Q.
+
+    Over Q with cf >= 0 the engine runs mod WORD_PRIME first. If that
+    series equals cf, then cf <= h_Q <= h_p = cf by (1) and (2), so cf is
+    returned and the engine never runs over Q. Otherwise, and when a denominator
+    vanishes mod WORD_PRIME or the modular engine meets CANDIDATE_BOUND
+    (h_p may exceed h_Q), the engine runs over Q.
+    """
+    if engine is not None:
+        return engine.series(N)
+    C = generator_matrix(p)
+    cf = closed_form(C, relation_dim_matrix(p), N)
+    if not is_termwise_nonnegative(cf)[0]:
+        return GradedEngine(p).series(N)
+    col_sums = [sum(col) for col in zip(*C)]
+    for d in range(2, N + 1):
+        check_candidates(d, sum(c * sum(row)
+                                for c, row in zip(col_sums, cf[d - 1])))
+    if p.field.p is None:
+        try:
+            modular = Presentation(p.vertices, p.generators,
+                                   [rel.terms for rel in p.relations],
+                                   FieldSpec(WORD_PRIME))
+            if GradedEngine(modular).series(N) == cf:
+                return cf
+        except (FieldError, CandidateBoundError):
+            pass
+    return GradedEngine(p).series(N)
 
 
 def free_product(p1: Presentation, p2: Presentation) -> Presentation:

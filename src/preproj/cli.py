@@ -18,7 +18,7 @@ from pathlib import Path
 from .algebra import (
     AlgebraError,
     CandidateBoundError,
-    GradedEngine,
+    hilbert_series,
     preprojective_presentation,
 )
 from .field import FieldError, FieldSpec
@@ -102,7 +102,7 @@ def _series_report(cfg: RunConfig, q, command: str, series) -> None:
 def cmd_hilbert(cfg: RunConfig) -> int:
     q = _load(cfg)
     pres = preprojective_presentation(q, cfg.field)
-    h = GradedEngine(pres).series(cfg.degree)
+    h = hilbert_series(pres, cfg.degree)
     _series_report(cfg, q, "hilbert", h)
     return 0
 
@@ -117,7 +117,7 @@ def cmd_closed_form(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     q = _load(cfg)
     pres = preprojective_presentation(q, cfg.field)
-    h = GradedEngine(pres).series(cfg.degree)
+    h = hilbert_series(pres, cfg.degree)
     s = closed_form(adjacency_double(q), relation_count_matrix(q), cfg.degree)
     cmp = termwise_compare(h, s)
     obj = {"command": "verify", "field": _field_token(cfg.field),
@@ -166,6 +166,9 @@ def cmd_koszul(cfg: RunConfig) -> int:
            "series_degree": v.series_degree, "witnesses": wit_objs,
            "tor": [{"i": i, "degree": d, "matrix": [list(r) for r in M]}
                    for (i, d), M in sorted(v.tor.entries.items())]}
+    if v.tor.partial:
+        obj["partial"] = [list(c) for c in v.tor.partial]
+        obj["column_cap"] = koszul.TOR_COLUMN_CAP
     if v.koszul:
         _emit(cfg, obj, ["Koszul up to (%d, %d)" % v.koszul_up_to,
                          "series equals the closed form through degree %d"
@@ -187,7 +190,7 @@ def cmd_torsion(cfg: RunConfig) -> int:
     lines = ["degree\trow\tcol\tdivisors"]
     for e in rep.entries:
         entries.append({"degree": e.degree, "row": names[e.row],
-                        "col": names[e.col], "partial": e.partial,
+                        "col": names[e.col], "partial": False,
                         "divisors": list(e.divisors)})
         lines.append("%d\t%s\t%s\t%s" % (e.degree, names[e.row], names[e.col],
                                         " ".join(map(str, e.divisors))))

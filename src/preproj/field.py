@@ -187,12 +187,15 @@ class SparseRref:
     def reduce(self, row: dict, history: dict | None = None):
         """Reduce a row against the stored pivots until none of its keys is
         a pivot. Returns the reduced row (a fresh dict) and its updated
-        history."""
+        history. A row that holds no pivot key is returned as that copy
+        without building the heap."""
         field = self.field
         row = dict(row)
         if history is not None:
             history = dict(history)
         rows = self.rows
+        if rows.keys().isdisjoint(row):
+            return row, history
         heap = sorted(row)
         seen = set(heap)
         heapify(heap)

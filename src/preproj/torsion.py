@@ -124,16 +124,13 @@ def _prime_factors(n: int) -> list[int]:
 @dataclass(frozen=True)
 class BlockReport:
     """Divisor data of one (degree, block) placement matrix: the full chain
-    (zeros trailing) and its rank over the rationals. partial is always
-    False and ranks_p always empty; both stay for the report's shape."""
+    (zeros trailing) and its rank over the rationals."""
 
     degree: int
     row: int
     col: int
     divisors: tuple
-    partial: bool
     rank_q: int
-    ranks_p: tuple
 
 
 @dataclass(frozen=True)
@@ -271,8 +268,7 @@ def torsion_check(q, N: int) -> SmithReport:
                         if (i, j) in block_rows else [])
                 divs = ([1] * (rank_q - len(tors)) + tors
                         + [0] * (min(nrows, paths[d][i][j]) - rank_q))
-                entries.append(BlockReport(d, i, j, tuple(divs), False,
-                                           rank_q, ()))
+                entries.append(BlockReport(d, i, j, tuple(divs), rank_q))
                 for dv in tors:
                     witnesses.append((d, i, j, dv))
                     div_primes.update(_prime_factors(dv))

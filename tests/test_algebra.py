@@ -26,10 +26,16 @@ from preproj.algebra import (
     hilbert_series,
     preprojective_presentation,
     relation_dim_matrix,
+    WORD_PRIME,
 )
 from preproj.field import QQ, FieldSpec
 from preproj.quiver import Arrow, Quiver, adjacency_double
-from preproj.series import closed_form, free_product_series, termwise_compare
+from preproj.series import (
+    closed_form,
+    free_product_series,
+    is_termwise_nonnegative,
+    termwise_compare,
+)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -501,3 +507,122 @@ def test_lazy_basis_checks_survive_python_O():
             "[[0, 7], [6, 0]]" % len(flags),
             "%d degree 4 basis counts [[5, 0], [0, 5]], stored dims "
             "[[5, 1], [0, 5]]" % len(flags)]
+
+
+A2_TILDE = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                    Arrow("c", "3", "1")])
+
+
+def _record_series(monkeypatch, fault=None):
+    """Record the field prime (None for Q) of every GradedEngine.series
+    call. fault(series) may alter or replace the series mod WORD_PRIME."""
+    fields = []
+    series = GradedEngine.series
+
+    def recorded(self, N):
+        fields.append(self.field.p)
+        out = series(self, N)
+        if fault is not None and self.field.p == WORD_PRIME:
+            out = fault(out)
+        return out
+
+    monkeypatch.setattr(GradedEngine, "series", recorded)
+    return fields
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_hilbert_series_matches_engine_random(field):
+    rng = random.Random(915 if field is QQ else 916)
+    done = bounded = 0
+    while done < 30:
+        p = random_presentation(rng, field=field, mass_cap=4000)
+        if p is None:
+            continue
+        cf = closed_form(generator_matrix(p), relation_dim_matrix(p), 6)
+        bounded += is_termwise_nonnegative(cf)[0]
+        assert hilbert_series(p, 6) == GradedEngine(p).series(6), (
+            p.generators, p.relations)
+        done += 1
+    # most draws take the closed-form route, some fall back
+    assert 10 <= bounded < 30, bounded
+
+
+def test_hilbert_series_skips_the_rational_engine(monkeypatch):
+    p = preprojective_presentation(A2_TILDE)
+    fields = _record_series(monkeypatch)
+    h = hilbert_series(p, 6)
+    assert fields == [WORD_PRIME]
+    assert h == closed_form(adjacency_double(A2_TILDE),
+                            relation_dim_matrix(p), 6)
+
+
+def test_hilbert_series_falls_back_on_a_word_prime_denominator(monkeypatch):
+    gamma = {name: Fraction(1) for name in ("a", "b", "c", "a*", "b*", "c*")}
+    gamma["b*"] = Fraction(5, 3 * WORD_PRIME)
+    q = Quiver(A2_TILDE.vertices, A2_TILDE.arrows, (), gamma)
+    p = preprojective_presentation(q)
+    want = GradedEngine(p).series(6)
+    fields = _record_series(monkeypatch)
+    assert hilbert_series(p, 6) == want
+    assert fields == [None]
+
+
+def test_hilbert_series_falls_back_on_a_negative_closed_form(monkeypatch):
+    # A_3 is Dynkin: its closed form goes negative, so neither inequality
+    # applies and only the rational engine runs
+    q = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    p = preprojective_presentation(q)
+    assert not is_termwise_nonnegative(
+        closed_form(adjacency_double(q), relation_dim_matrix(p), 6))[0]
+    want = GradedEngine(p).series(6)
+    fields = _record_series(monkeypatch)
+    assert hilbert_series(p, 6) == want
+    assert fields == [None]
+
+
+def test_hilbert_series_falls_back_above_the_closed_form(monkeypatch):
+    # x, y with the one relation xx: cf = 1/(1-t)^2 counts d+1, but the
+    # words avoiding xx number 5 in degree 3, so both engines run and the
+    # rational one's answer is returned
+    p = Presentation(["v"], [Generator("x", 0, 0), Generator("y", 0, 0)],
+                     [[(1, 0, 0)]])
+    want = GradedEngine(p).series(6)
+    assert want[3] == [[5]]
+    fields = _record_series(monkeypatch)
+    assert hilbert_series(p, 6) == want
+    assert fields == [WORD_PRIME, None]
+
+
+def _raise_one_entry(s):
+    s.coeffs[4][1][2] += 1
+    return s
+
+
+def _refuse(s):
+    raise CandidateBoundError(5, 17, 16)
+
+
+@pytest.mark.parametrize("fault", [_raise_one_entry, _refuse],
+                         ids=["differs", "refused"])
+def test_hilbert_series_falls_back_when_the_modular_series_fails(
+        monkeypatch, fault):
+    # the rational engine's answer is returned, whatever the closed form
+    # and the faulty modular series say
+    p = preprojective_presentation(A2_TILDE)
+    want = GradedEngine(p).series(6)
+    fields = _record_series(monkeypatch, fault)
+    assert hilbert_series(p, 6) == want
+    assert fields == [WORD_PRIME, None]
+
+
+def test_hilbert_series_refuses_from_the_closed_form_first(monkeypatch):
+    # the two-loop double over GF(3): C . cf_2 = 4 * 15 = 60 candidates in
+    # degree 3, refused before any engine runs
+    q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    p = preprojective_presentation(q, GF3)
+    fields = _record_series(monkeypatch)
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    with pytest.raises(CandidateBoundError) as exc:
+        hilbert_series(p, 4)
+    assert (exc.value.degree, exc.value.candidates) == (3, 60)
+    assert fields == []

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -305,6 +306,36 @@ def test_tor_column_cap_is_named(tmp_path, capsys, monkeypatch):
         "not Koszul up to (3, 8)",
         "undetermined: Tor cells skipped by the column cap of 5 columns:"
         " (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8)"]
+
+
+def test_tor_column_cap_is_named_in_json(tmp_path, capsys, monkeypatch):
+    # the JSON verdict names the skipped cells and the cap, as the TSV does
+    monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", 5)
+    code, out, _ = run(tmp_path, capsys, A2T, "koszul", "--format", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["complete"] is False and obj["witnesses"] == []
+    assert obj["partial"] == [[3, d] for d in range(3, 9)]
+    assert obj["column_cap"] == 5
+
+
+STAR222_W3 = ("vertices: c v1 v2 v3\n"
+              + "".join("arrow a%d_%d: v%d -> c\n" % (i, k, i)
+                        for i in (1, 2, 3) for k in (1, 2))
+              + "white: c v3\n")
+
+
+def test_candidate_bound_refuses_from_the_closed_form(tmp_path, capsys):
+    # the series equals the closed form here, so C . cf_12 is degree 13's
+    # exact candidate count: refused before degrees 2-12 are built
+    t0 = time.perf_counter()
+    code, out, err = run(tmp_path, capsys, STAR222_W3, "hilbert",
+                         "--degree", "13")
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err == ("error: degree 13 has 26375732 candidate paths, above the"
+                   " bound of 16000000\n")
+    assert elapsed < 1.0, elapsed
 
 
 def test_negative_degree_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 
@@ -292,6 +293,66 @@ def test_back_substitute_units_are_the_rref(field):
             got = [[units[k].get(j, 0) for j in range(c)]
                    for k in sorted(units)]
             assert got == want
+
+
+def _heap_echelon(rows, field):
+    """Forward echelon with the heap reduction run on every row, the
+    reference for the fast path that skips it: {pivot: normalized row}."""
+    stored = {}
+    for row in rows:
+        row = dict(row)
+        heap = sorted(row)
+        seen = set(heap)
+        while heap:
+            k = heappop(heap)
+            c = row.get(k)
+            if not c or k not in stored:
+                continue
+            field.row_axpy(row, field.neg(c), stored[k])
+            for nk in stored[k]:
+                if nk not in seen:
+                    seen.add(nk)
+                    heappush(heap, nk)
+        if row:
+            k = min(row)
+            field.row_scale(row, field.inv(row[k]))
+            stored[k] = row
+    return stored
+
+
+def test_reduce_returns_a_fresh_row_that_meets_no_pivot():
+    ech = SparseRref(QQ, track=True)
+    ech.add_row({0: Fraction(2), 3: Fraction(1)}, tag="r")
+    row, history = {1: Fraction(5), 2: Fraction(-1)}, {"s": Fraction(1)}
+    out, hist = ech.reduce(row, history)
+    assert out == row and out is not row
+    assert hist == history and hist is not history
+    out[1] = Fraction(7)
+    hist["t"] = Fraction(1)
+    assert row == {1: Fraction(5), 2: Fraction(-1)}
+    assert history == {"s": Fraction(1)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_fast_path_keeps_the_heap_pivots(field):
+    # sparse rows over 12 keys: many meet no stored pivot and skip the heap
+    rng = random.Random(606)
+    skipped = reduced = 0
+    for _ in range(40):
+        rows = []
+        for _ in range(rng.randint(3, 12)):
+            row = {j: field.convert(rng.choice((-2, -1, 1, 2)))
+                   for j in rng.sample(range(12), rng.randint(1, 3))}
+            rows.append({j: v for j, v in row.items() if v})
+        ech = SparseRref(field)
+        for row in rows:
+            if ech.rows.keys().isdisjoint(row):
+                skipped += 1
+            else:
+                reduced += 1
+            ech.add_row(row)
+        assert ech.rows == _heap_echelon(rows, field)
+    assert skipped > 40 and reduced > 40, (skipped, reduced)
 
 
 def test_back_substitute_over_z_keeps_non_unit_rows():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -15,6 +16,7 @@ from preproj.quiver import Arrow, Quiver
 
 SRC = Path(preproj.__file__).resolve().parent
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+A2_TILDE_FILE = Path(__file__).resolve().parent / "golden" / "a2_tilde.quiver"
 
 
 def test_package_has_no_assert_statements():
@@ -94,3 +96,19 @@ def test_series_memory_stays_bounded(q, field):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+
+
+@pytest.mark.parametrize("command", ["hilbert", "verify"])
+def test_hilbert_route_output_survives_python_O(command):
+    # hilbert and verify on A~2 take the closed-form route; python -O must
+    # strip nothing that decides it
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "preproj.cli", command,
+             str(A2_TILDE_FILE), "--degree", "8"],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": str(SRC.parent)})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
