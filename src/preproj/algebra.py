@@ -443,12 +443,10 @@ class GradedEngine:
 WORD_PRIME = 2**31 - 1
 
 
-def hilbert_series(p: Presentation, N: int,
-                   engine: GradedEngine | None = None) -> MatrixSeries:
-    """Dims of p to degree N: engine.series(N) when an engine is given.
-
-    Otherwise the closed form cf = (I - Ct + Dt^2)^{-1} comes first, with D
-    the relation dims over p's field, and two inequalities are used.
+def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
+    """Dims of p to degree N. The closed form cf = (I - Ct + Dt^2)^{-1}
+    comes first, with D the relation dims over p's field, and two
+    inequalities are used.
 
     (1) h >= cf termwise wherever cf >= 0, over any field. For a quadratic
     algebra the complex A(x)R -> A(x)V -> A -> k -> 0 is exact except at
@@ -473,8 +471,6 @@ def hilbert_series(p: Presentation, N: int,
     vanishes mod WORD_PRIME or the modular engine meets CANDIDATE_BOUND
     (h_p may exceed h_Q), the engine runs over Q.
     """
-    if engine is not None:
-        return engine.series(N)
     C = generator_matrix(p)
     cf = closed_form(C, relation_dim_matrix(p), N)
     if not is_termwise_nonnegative(cf)[0]:

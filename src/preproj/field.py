@@ -9,7 +9,7 @@ over arbitrary ordered hashable keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -165,81 +165,67 @@ class SparseRref:
     new row is reduced against the stored rows until none of its keys is a
     pivot, then normalized to coefficient 1 at its pivot; an insertion
     changes no stored row. The pivot key set is the staircase of the row
-    space, so ranks and kernels need no more. back_substitute turns the
-    stored rows into the canonical reduced echelon form when rewrite rules
-    are wanted.
-
-    With track=True every stored row carries a history vector expressing it
-    as a combination of the rows fed in (tagged by the caller); a row that
-    reduces to zero hands back its history, i.e. an exact kernel combination.
+    space, so ranks need no more, and kernel_vectors finds kernels by
+    inserting augmented rows. back_substitute turns the stored rows into
+    the canonical reduced echelon form when rewrite rules are wanted.
     """
 
-    def __init__(self, field: FieldSpec, track: bool = False):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.track = track
         self.rows: dict = {}
-        self.histories: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: dict, history: dict | None = None):
-        """Reduce a row against the stored pivots until none of its keys is
-        a pivot. Returns the reduced row (a fresh dict) and its updated
-        history. A row that holds no pivot key is returned as that copy
-        without building the heap."""
+    def add_row(self, row: dict):
+        """Reduce a copy of row and insert it. Returns (pivot, stored_row),
+        or (None, {}) when the row is already in the span. The caller's row
+        is never changed or stored; a copy that holds no pivot key is
+        stored without building the reduction heap."""
         field = self.field
-        row = dict(row)
-        if history is not None:
-            history = dict(history)
         rows = self.rows
-        if rows.keys().isdisjoint(row):
-            return row, history
-        heap = sorted(row)
-        seen = set(heap)
-        heapify(heap)
-        while heap:
-            k = heappop(heap)
-            c = row.get(k)
-            if not c or k not in rows:
-                continue
-            nc = field.neg(c)
-            piv = rows[k]
-            field.row_axpy(row, nc, piv)
-            if history is not None and self.track:
-                field.row_axpy(history, nc, self.histories[k])
-            for nk in piv:
-                if nk not in seen:
-                    seen.add(nk)
-                    heappush(heap, nk)
-        return row, history
-
-    def add_row(self, row: dict, tag=None):
-        """Reduce and insert a row. Returns (pivot_key, history).
-
-        pivot_key is None when the row reduced to zero; with track=True the
-        returned history is then the vanishing combination (it includes the
-        row's own tag with coefficient 1).
-        """
-        field = self.field
-        history = None
-        if self.track:
-            history = {tag: field.one} if tag is not None else {}
-        row, history = self.reduce(row, history)
+        row = dict(row)
+        if not rows.keys().isdisjoint(row):
+            heap = sorted(row)  # a sorted list is a heap
+            seen = set(heap)
+            while heap:
+                k = heappop(heap)
+                c = row.get(k)
+                if not c or k not in rows:
+                    continue
+                piv = rows[k]
+                field.row_axpy(row, field.neg(c), piv)
+                for nk in piv:
+                    if nk not in seen:
+                        seen.add(nk)
+                        heappush(heap, nk)
         if not row:
-            return None, history
+            return None, {}
         k = min(row)
-        c = row[k]
-        if c != field.one:
-            ic = field.inv(c)
-            field.row_scale(row, ic)
-            if self.track:
-                field.row_scale(history, ic)
-        self.rows[k] = row
-        if self.track:
-            self.histories[k] = history
-        return k, history
+        if row[k] != field.one:
+            field.row_scale(row, field.inv(row[k]))
+        rows[k] = row
+        return k, row
+
+
+def kernel_vectors(rows: dict, field: FieldSpec) -> list[dict]:
+    """A basis of the combinations {tag: c} with sum c * rows[tag] = 0,
+    for rows given as a map tag -> row.
+
+    Each row is re-keyed (0, key) and augmented by (1, tag): 1, so every
+    key of the image sorts before every tag, and inserted into a
+    SparseRref. A stored row whose pivot is a tag has no image part left,
+    so its tag part is a vanishing combination. These rows are echelon in
+    the tags, hence independent, and there are len(rows) - rank of them.
+    """
+    ech = SparseRref(field)
+    for tag, row in rows.items():
+        aug = {(0, k): v for k, v in row.items()}
+        aug[(1, tag)] = field.one
+        ech.add_row(aug)
+    return [{tag: v for (_, tag), v in row.items()}
+            for (side, _), row in ech.rows.items() if side == 1]
 
 
 def back_substitute(pivots: dict, field: FieldSpec):

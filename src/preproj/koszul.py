@@ -30,7 +30,7 @@ from .algebra import (
     relation_dim_matrix,
     relation_space_rows,
 )
-from .field import SparseRref
+from .field import SparseRref, kernel_vectors
 from .series import (
     EQUAL,
     FIRST_GEQ,
@@ -198,18 +198,23 @@ def _extend_columns(engine, gens_list, d, prev):
 
 def _kernel_degree(engine, gens_list, d, prev, cap=None, expect=None):
     """One internal degree of the map off gens_list: its columns (see
-    _extend_columns), their untracked echelon, and the kernel dims block by
-    block, where a column counts when it reduces to zero. Returns
-    (cols, ech, K); ech and K are None when there are more than cap
-    columns. With expect, raises unless K equals expect[d]."""
+    _extend_columns), their echelon, and the kernel dims block by block,
+    where a column counts when it reduces to zero. Returns (cols, ech, K),
+    or three Nones when there would be more than cap columns; that count
+    is read off the dims (one column per basis path of degree d - deg_k
+    from each generator's vertex), so no column is built then. With
+    expect, raises unless K equals expect[d]."""
+    if cap is not None:
+        count = sum(sum(row[g.vertex] for row in engine.dims(d - g.degree))
+                    for g in gens_list if g.degree <= d)
+        if count > cap:
+            return None, None, None
     cols = _extend_columns(engine, gens_list, d, prev)
-    if cap is not None and len(cols) > cap:
-        return cols, None, None
     n = len(engine.pres.vertices)
     K = [[0] * n for _ in range(n)]
     ech = SparseRref(engine.field)
     for (k, x), col in cols.items():
-        if not col or ech.add_row(col)[0] is None:
+        if ech.add_row(col)[0] is None:
             K[engine.path_end(x)][gens_list[k].root] += 1
     if expect is not None and K != expect[d]:
         raise AssertionError(
@@ -223,7 +228,6 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
     internal degree <= d_max. Returns (new_gens, tor: d -> matrix,
     partial_from: degree where the cap stopped work, or None). With expect,
     the kernel dims are checked against expect in every degree reached."""
-    field = engine.field
     n = len(engine.pres.vertices)
     root_of = [g.root for g in gens_prev]
     new_gens: list[_Gen] = []
@@ -245,18 +249,11 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
             raise AssertionError("syzygy span exceeds kernel at degree %d" % d)
         M = [[0] * n for _ in range(n)]
         if new_count:
-            tracked = SparseRref(field, track=True)
-            kers = []
-            for tag, col in cols.items():
-                piv, hist = tracked.add_row(col, tag=tag)
-                if piv is None:
-                    kers.append(hist)
             found = 0
-            for hist in kers:
-                piv, _ = old_ech.add_row(hist)
+            for vec in kernel_vectors(cols, engine.field):
+                piv, vector = old_ech.add_row(vec)
                 if piv is None:
                     continue
-                vector = dict(old_ech.rows[piv])
                 k0, x0 = next(iter(vector))
                 g = _Gen(engine.path_end(x0), root_of[k0], d, vector)
                 new_gens.append(g)
@@ -280,12 +277,13 @@ def tor_dimensions(p: Presentation, i_max: int = 3, d_max: int = 8,
     Stages 0-2 are the start A(x)R -> A(x)V -> A of the Koszul complex,
     which is exact at A(x)V and at A for every quadratic algebra: Tor_0 = I,
     Tor_1 = C and Tor_2 = D, each in degree i only. From stage 3 on, minimal
-    kernel generators are found by tracked echelon and sifting against the
-    span of the generators already chosen. The stage-3 kernel is the kernel
-    of A(x)R -> A(x)V, so its dims are checked block by block against
-    h_A(1-Ct+Dt^2)-1, and a disagreement raises. Cells whose column count
-    exceeds TOR_COLUMN_CAP are reported as partial, together with everything
-    downstream of them; only stages 3 and up can be partial.
+    kernel generators are kernel vectors of the columns (kernel_vectors),
+    sifted against the span of the generators already chosen. The stage-3
+    kernel is the kernel of A(x)R -> A(x)V, so its dims are checked block
+    by block against h_A(1-Ct+Dt^2)-1, and a disagreement raises. Cells
+    whose column count exceeds TOR_COLUMN_CAP are reported as partial,
+    together with everything downstream of them; only stages 3 and up can
+    be partial.
     """
     engine = engine or GradedEngine(p)
     n = len(p.vertices)

@@ -22,6 +22,7 @@ from preproj.field import (
     SparseRref,
     back_substitute,
     is_prime,
+    kernel_vectors,
     smith_normal_form,
 )
 
@@ -246,32 +247,43 @@ def test_snf_sparse_chains_match_ranks():
             assert ech.rank == sum(1 for d in nonzero if d % p), p
 
 
-def _combine(history, originals, field):
+def _combine(vector, rows, field):
     out = {}
-    for tag, c in history.items():
-        for k, v in originals[tag].items():
+    for tag, c in vector.items():
+        for k, v in rows[tag].items():
             field.acc(out, k, c * v)
     return out
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])
-def test_tracked_histories_reproduce_rows(field):
+def test_kernel_vectors_match_dense_rank(field):
     rng = random.Random(505)
-    for _ in range(25):
-        originals = {}
-        ech = SparseRref(field, track=True)
-        for t in range(rng.randint(2, 7)):
-            row = {j: field.convert(rng.randint(-3, 3))
-                   for j in range(rng.randint(1, 5))}
-            row = {j: v for j, v in row.items() if v}
-            originals[t] = dict(row)
-            piv, hist = ech.add_row(dict(row), tag=t)
-            combo = _combine(hist, originals, field)
-            if piv is None:
-                assert combo == {}
-                assert hist.get(t) == field.one
-            else:
-                assert combo == ech.rows[piv]
+    for _ in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 5)
+        dense = [[field.convert(v) for v in line]
+                 for line in _random_matrix(rng, r, c, -2, 2)]
+        rows = {t: {j: v for j, v in enumerate(line) if v}
+                for t, line in enumerate(dense)}
+        kers = kernel_vectors(rows, field)
+        assert len(kers) == r - dense_rank(dense, field.p)
+        assert all(_combine(vec, rows, field) == {} for vec in kers)
+        assert dense_rank([[vec.get(t, 0) for t in range(r)] for vec in kers],
+                          field.p) == len(kers)
+
+
+def test_kernel_vectors_take_mixed_tags_and_no_rows():
+    # Tor columns are tagged (generator, vertex) or (generator, path), and
+    # their keys have the same shape: the key (1, 0) and the tag (1, (0, 1))
+    # of one row do not compare, so tags and keys must never meet
+    rows = {(0, 2): {(0, 1): Fraction(1)},
+            (1, (0, 1)): {(0, 1): Fraction(2), (1, 0): Fraction(1)},
+            (1, (2,)): {(1, 0): Fraction(-1)},
+            (2, 1): {}}
+    kers = kernel_vectors(rows, QQ)
+    assert len(kers) == 2
+    assert all(_combine(vec, rows, QQ) == {} for vec in kers)
+    assert {(2, 1): Fraction(1)} in kers
+    assert kernel_vectors({}, QQ) == []
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])
@@ -320,17 +332,20 @@ def _heap_echelon(rows, field):
     return stored
 
 
-def test_reduce_returns_a_fresh_row_that_meets_no_pivot():
-    ech = SparseRref(QQ, track=True)
-    ech.add_row({0: Fraction(2), 3: Fraction(1)}, tag="r")
-    row, history = {1: Fraction(5), 2: Fraction(-1)}, {"s": Fraction(1)}
-    out, hist = ech.reduce(row, history)
-    assert out == row and out is not row
-    assert hist == history and hist is not history
-    out[1] = Fraction(7)
-    hist["t"] = Fraction(1)
-    assert row == {1: Fraction(5), 2: Fraction(-1)}
-    assert history == {"s": Fraction(1)}
+def test_add_row_never_aliases_the_callers_row():
+    ech = SparseRref(QQ)
+    # the first row meets no pivot and skips the heap, the second is
+    # reduced by the first, the third reduces to zero
+    cases = [({0: Fraction(2), 3: Fraction(1)}, 0, {0: 1, 3: Fraction(1, 2)}),
+             ({0: Fraction(1), 1: Fraction(4)}, 1, {1: 1, 3: Fraction(-1, 8)}),
+             ({0: Fraction(4), 3: Fraction(2)}, None, {})]
+    for row, piv, stored in cases:
+        before = dict(row)
+        got, out = ech.add_row(row)
+        assert (got, out) == (piv, stored) and out is not row
+        assert row == before
+        row[0] = Fraction(7)
+        assert piv is None or ech.rows[piv] == stored
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])

@@ -203,6 +203,48 @@ def test_column_cap_reports_partial(monkeypatch):
                              if k not in small.partial}
 
 
+def test_column_cap_is_applied_before_any_column_is_built(monkeypatch):
+    built = []
+    extend = preproj.koszul._extend_columns
+
+    def spy(engine, gens_list, d, prev):
+        cols = extend(engine, gens_list, d, prev)
+        built.append((d, len(cols)))
+        return cols
+
+    monkeypatch.setattr(preproj.koszul, "_extend_columns", spy)
+    pres = cycle3_pres()
+    want = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", 5)
+    built.clear()
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    capped = min(d for _, d in v.tor.partial)
+    assert built and capped not in [d for d, _ in built]
+    assert (v.koszul, v.complete, v.method, v.witnesses) == (
+        False, False, "syzygy", ())
+    assert v.tor.partial == tuple((3, d) for d in range(3, 7))
+    assert v.tor.entries == {k: M for k, M in want.tor.entries.items()
+                             if k not in v.tor.partial}
+    # the predicted count is exact: a cap at the largest count built skips
+    # nothing, one below it skips a cell
+    rng = random.Random(4343)
+    draws = 0
+    while draws < 15:
+        pres = random_presentation(rng)
+        if pres is None:
+            continue
+        draws += 1
+        monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", 10**9)
+        built.clear()
+        want = tor_dimensions(pres, i_max=4, d_max=5)
+        most = max((n for d, n in built), default=0)
+        monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", most)
+        assert tor_dimensions(pres, i_max=4, d_max=5) == want
+        if most:
+            monkeypatch.setattr(preproj.koszul, "TOR_COLUMN_CAP", most - 1)
+            assert tor_dimensions(pres, i_max=4, d_max=5).partial
+
+
 def test_tor_gf2_agrees_with_rationals_on_koszul_cases():
     for make in (loop_pres, cycle3_pres):
         tq = tor_dimensions(make(QQ), i_max=2, d_max=5)

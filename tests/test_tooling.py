@@ -5,13 +5,14 @@ import importlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import preproj
 from preproj.algebra import GradedEngine, preprojective_presentation
-from preproj.field import QQ, FieldSpec
+from preproj.field import QQ, FieldSpec, SparseRref
 from preproj.quiver import Arrow, Quiver
 
 SRC = Path(preproj.__file__).resolve().parent
@@ -73,6 +74,17 @@ def test_bench_span_targets_resolve():
         if not callable(owner):
             missing.append("%s.%s" % (modname, attr))
     assert not missing, "bench span targets gone: %s" % ", ".join(missing)
+
+
+def test_add_row_returns_what_the_bench_reads():
+    # the bench's add_row wrapper counts a dependent row by out[0] is None
+    # and splits time by rref.field, so both stay part of the contract
+    ech = SparseRref(QQ)
+    assert ech.field is QQ
+    out = ech.add_row({(0, 2): Fraction(3), (1, 0): Fraction(1)})
+    assert isinstance(out, tuple) and len(out) == 2 and out[0] == (0, 2)
+    out = ech.add_row({(0, 2): Fraction(6), (1, 0): Fraction(2)})
+    assert isinstance(out, tuple) and len(out) == 2 and out[0] is None
 
 
 STAR_222 = Quiver(["c", "v1", "v2", "v3"],
