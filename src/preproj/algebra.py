@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, FieldError, FieldSpec, SparseRref, back_substitute
+from .field import (
+    QQ,
+    FieldError,
+    FieldSpec,
+    SparseRref,
+    back_substitute,
+    distinct_leads,
+)
 from .quiver import Quiver, double
 from .series import MatrixSeries, closed_form, is_termwise_nonnegative
 
@@ -243,7 +250,11 @@ class GradedEngine:
     (i, j) number exactly (C . dims_{d-1})[i][j] and every pivot is a
     candidate, so dims_d is that product minus the pivots per (end, start)
     block. The product is compared with CANDIDATE_BOUND before the echelon
-    starts.
+    starts. A degree built for its count alone makes its placement rows
+    one at a time and stores none: when their minimal keys are pairwise
+    distinct (field.distinct_leads) the rows are triangular and those keys
+    are the pivots, so no echelon is built. At the first repeated key the
+    rows are made again from the first and go through the echelon.
 
     Each built degree stores its dims matrix and, unless it was built for
     its count alone, its rewrite table. Its basis tuple (the candidates that
@@ -325,17 +336,24 @@ class GradedEngine:
              for i in range(n)]
         check_candidates(d, sum(map(sum, M)))
         acc = field.acc
-        ech = SparseRref(field)
         rw = self._rewrite[d - 1]
-
         older = None if d == 2 else self._group(d - 2, True)
-        for rel in self.pres.relations:
-            for u in ((),) if older is None else older.get(rel.start, ()):
-                row = place_relation(rel.terms, u, rw, acc)
-                if row:
-                    ech.add_row(row)
 
-        pivots = ech.rows
+        def placements():
+            for rel in self.pres.relations:
+                for u in ((),) if older is None else older.get(rel.start, ()):
+                    row = place_relation(rel.terms, u, rw, acc)
+                    if row:
+                        yield row
+
+        # a counted degree reads only the pivot keys: distinct leads are
+        # exactly those keys, and no row is kept
+        pivots = None if with_rewrite else distinct_leads(placements())
+        if pivots is None:
+            ech = SparseRref(field)
+            for row in placements():
+                ech.add_row(row)
+            pivots = ech.rows
         for m in pivots:
             M[gens[m[0]].head][gens[m[-1]].tail] -= 1
         if any(v < 0 for row in M for v in row):
@@ -437,6 +455,33 @@ class GradedEngine:
         return vec
 
 
+def closed_form_floor(p: Presentation, N: int) -> MatrixSeries | None:
+    """The closed form cf = (I - Ct + Dt^2)^{-1} of p through degree N,
+    with D the relation dims over p's field, when it is termwise
+    nonnegative; None otherwise. Where it is returned it is a floor:
+    h >= cf termwise, over any field.
+
+    For a quadratic algebra the complex A(x)R -> A(x)V -> A -> k -> 0 is
+    exact except at A(x)R (Polishchuk-Positselski, Quadratic Algebras,
+    ch. 2). Counting dims block by block, with K the kernel at A(x)R,
+    gives h (I - Ct + Dt^2) = I + h_K with h_K >= 0, so h = cf + h_K cf,
+    and h_K cf >= 0 when cf >= 0. Hence degree d has at least C . cf_{d-1}
+    candidates, and the first d <= N where that passes CANDIDATE_BOUND
+    raises CandidateBoundError here, before any engine starts. The count
+    named is exact where h = cf, a lower bound elsewhere; an engine would
+    refuse by degree d.
+    """
+    C = generator_matrix(p)
+    cf = closed_form(C, relation_dim_matrix(p), N)
+    if not is_termwise_nonnegative(cf)[0]:
+        return None
+    col_sums = [sum(col) for col in zip(*C)]
+    for d in range(2, N + 1):
+        check_candidates(d, sum(c * sum(row)
+                                for c, row in zip(col_sums, cf[d - 1])))
+    return cf
+
+
 # The prime of the modular route hilbert_series tries over Q: the largest
 # prime below 2**31. Every denominator below it is a unit mod it, and a
 # product of two residues stays a small int.
@@ -444,19 +489,12 @@ WORD_PRIME = 2**31 - 1
 
 
 def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
-    """Dims of p to degree N. The closed form cf = (I - Ct + Dt^2)^{-1}
-    comes first, with D the relation dims over p's field, and two
-    inequalities are used.
+    """Dims of p to degree N. The closed form comes first
+    (closed_form_floor), which refuses a degree from it when cf >= 0, and
+    two inequalities are used.
 
-    (1) h >= cf termwise wherever cf >= 0, over any field. For a quadratic
-    algebra the complex A(x)R -> A(x)V -> A -> k -> 0 is exact except at
-    A(x)R (Polishchuk-Positselski, Quadratic Algebras, ch. 2). Counting
-    dims block by block, with K the kernel at A(x)R, gives
-    h (I - Ct + Dt^2) = I + h_K with h_K >= 0, so h = cf + h_K cf, and
-    h_K cf >= 0 when cf >= 0. Hence degree d has at least C . cf_{d-1}
-    candidates, and the first d <= N where that passes CANDIDATE_BOUND is
-    refused before any echelon starts. The count named is exact where
-    h = cf, a lower bound elsewhere; the engine would refuse by degree d.
+    (1) h >= cf termwise wherever cf >= 0, over any field
+    (closed_form_floor).
 
     (2) h_Q <= h_p termwise, for a prime p that divides no denominator of
     the relations. The placement rows of degree d have entries in Z_(p),
@@ -471,15 +509,8 @@ def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
     vanishes mod WORD_PRIME or the modular engine meets CANDIDATE_BOUND
     (h_p may exceed h_Q), the engine runs over Q.
     """
-    C = generator_matrix(p)
-    cf = closed_form(C, relation_dim_matrix(p), N)
-    if not is_termwise_nonnegative(cf)[0]:
-        return GradedEngine(p).series(N)
-    col_sums = [sum(col) for col in zip(*C)]
-    for d in range(2, N + 1):
-        check_candidates(d, sum(c * sum(row)
-                                for c, row in zip(col_sums, cf[d - 1])))
-    if p.field.p is None:
+    cf = closed_form_floor(p, N)
+    if cf is not None and p.field.p is None:
         try:
             modular = Presentation(p.vertices, p.generators,
                                    [rel.terms for rel in p.relations],

@@ -168,6 +168,9 @@ class SparseRref:
     space, so ranks need no more, and kernel_vectors finds kernels by
     inserting augmented rows. back_substitute turns the stored rows into
     the canonical reduced echelon form when rewrite rules are wanted.
+    Where only a rank or the pivot keys are read, distinct_leads certifies
+    them without an echelon when no two rows share a minimal key; this
+    class is the fallback when two do.
     """
 
     def __init__(self, field: FieldSpec):
@@ -207,6 +210,27 @@ class SparseRref:
             field.row_scale(row, field.inv(row[k]))
         rows[k] = row
         return k, row
+
+
+def distinct_leads(rows):
+    """The set of the rows' minimal keys when no row is empty and no two
+    rows share one; None otherwise, returned at the first empty or
+    repeated row without reading further.
+
+    Rows with pairwise distinct minimal keys are triangular, hence
+    independent: their rank is their count and their leads are the pivot
+    keys any SparseRref of them would hold. rows may be a generator, so a
+    rank can be certified without storing a row.
+    """
+    leads = set()
+    for row in rows:
+        if not row:
+            return None
+        k = min(row)
+        if k in leads:
+            return None
+        leads.add(k)
+    return leads
 
 
 def kernel_vectors(rows: dict, field: FieldSpec) -> list[dict]:

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from .algebra import (
     GradedEngine,
     Presentation,
+    closed_form_floor,
     generator_matrix,
     relation_dim_matrix,
     relation_space_rows,
 )
-from .field import SparseRref, kernel_vectors
+from .field import SparseRref, distinct_leads, kernel_vectors
 from .series import (
     EQUAL,
     FIRST_GEQ,
@@ -198,11 +199,14 @@ def _extend_columns(engine, gens_list, d, prev):
 
 def _kernel_degree(engine, gens_list, d, prev, cap=None, expect=None):
     """One internal degree of the map off gens_list: its columns (see
-    _extend_columns), their echelon, and the kernel dims block by block,
-    where a column counts when it reduces to zero. Returns (cols, ech, K),
-    or three Nones when there would be more than cap columns; that count
-    is read off the dims (one column per basis path of degree d - deg_k
-    from each generator's vertex), so no column is built then. With
+    _extend_columns), their rank, and the kernel dims block by block.
+    Returns (cols, rank, K), or three Nones when there would be more than
+    cap columns; that count is read off the dims (one column per basis
+    path of degree d - deg_k from each generator's vertex), so no column
+    is built then. When no column is zero and no two share a minimal key
+    (field.distinct_leads) the columns are independent: the rank is their
+    count and K is zero, with no echelon. Otherwise they go through a
+    SparseRref, and a column counts in K when it reduces to zero. With
     expect, raises unless K equals expect[d]."""
     if cap is not None:
         count = sum(sum(row[g.vertex] for row in engine.dims(d - g.degree))
@@ -212,15 +216,18 @@ def _kernel_degree(engine, gens_list, d, prev, cap=None, expect=None):
     cols = _extend_columns(engine, gens_list, d, prev)
     n = len(engine.pres.vertices)
     K = [[0] * n for _ in range(n)]
-    ech = SparseRref(engine.field)
-    for (k, x), col in cols.items():
-        if ech.add_row(col)[0] is None:
-            K[engine.path_end(x)][gens_list[k].root] += 1
+    rank = len(cols)
+    if distinct_leads(cols.values()) is None:
+        ech = SparseRref(engine.field)
+        for (k, x), col in cols.items():
+            if ech.add_row(col)[0] is None:
+                K[engine.path_end(x)][gens_list[k].root] += 1
+        rank = ech.rank
     if expect is not None and K != expect[d]:
         raise AssertionError(
             "kernel dims disagree at degree %d: ranks %r, series %r"
             % (d, K, expect[d]))
-    return cols, ech, K
+    return cols, rank, K
 
 
 def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
@@ -235,20 +242,24 @@ def _syzygy_stage(engine, gens_prev, d_min, d_max, cap, expect=None):
     prev_diff: dict = {}
     prev_old: dict = {}
     for d in range(d_min, d_max + 1):
-        cols, ech, K = _kernel_degree(engine, gens_prev, d, prev_diff, cap,
-                                      expect)
+        cols, rank, K = _kernel_degree(engine, gens_prev, d, prev_diff, cap,
+                                       expect)
         prev_diff = cols
-        if ech is None:
+        if rank is None:
             return new_gens, tor, d
-        prev_old, old_ech, _ = _kernel_degree(engine, new_gens, d, prev_old,
-                                              cap)
-        if old_ech is None:
+        prev_old, old_rank, _ = _kernel_degree(engine, new_gens, d, prev_old,
+                                               cap)
+        if old_rank is None:
             return new_gens, tor, d
-        new_count = len(cols) - ech.rank - old_ech.rank
+        new_count = len(cols) - rank - old_rank
         if new_count < 0:
             raise AssertionError("syzygy span exceeds kernel at degree %d" % d)
         M = [[0] * n for _ in range(n)]
         if new_count:
+            # the sift is the only reader of stored rows
+            old_ech = SparseRref(engine.field)
+            for col in prev_old.values():
+                old_ech.add_row(col)
             found = 0
             for vec in kernel_vectors(cols, engine.field):
                 piv, vector = old_ech.add_row(vec)
@@ -336,8 +347,12 @@ def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
     The Tor table comes from tor_dimensions. method is "koszul-complex" when
     no stage from 3 on found a generator and no cell is partial, so the
     table is the Koszul complex's; otherwise it is "syzygy". A partial cell
-    (the Tor column cap) leaves the verdict incomplete.
+    (the Tor column cap) leaves the verdict incomplete. Before any degree
+    is built here, closed_form_floor refuses from the closed form through
+    the highest degree the engine reaches: max(N, d_max) when stage 3
+    runs, else N.
     """
+    closed_form_floor(p, max(N, d_max) if i_max >= 3 and p.relations else N)
     engine = engine or GradedEngine(p)
     gs = golod_shafarevich_check(p, N, engine)
     tor = tor_dimensions(p, i_max, d_max, engine)

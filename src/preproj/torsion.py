@@ -32,6 +32,7 @@ from .algebra import (
     GradedEngine,
     Presentation,
     check_candidates,
+    closed_form_floor,
     generator_matrix,
     place_relation,
     preprojective_presentation,
@@ -233,9 +234,11 @@ def torsion_check(q, N: int) -> SmithReport:
     dimensions computed independently over the rationals and over GF(p),
     raising AssertionError explicitly on any mismatch. A degree with more
     candidates than algebra.CANDIDATE_BOUND raises CandidateBoundError
-    before it is built.
+    before it is built, and before any degree is built when the closed
+    form already shows it (algebra.closed_form_floor).
     """
     pres = _integral_presentation(q)
+    closed_form_floor(pres, N)
     gens = pres.generators
     n = len(pres.vertices)
     # paths[d][i][j] = (C^d)[i][j], from the series 1/(1 - Ct) of the path

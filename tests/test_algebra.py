@@ -14,6 +14,7 @@ from bruteforce import (
     random_presentation,
     random_quiver,
 )
+from test_acceptance import d4_tilde, wild_pair
 from preproj.algebra import (
     AlgebraError,
     CandidateBoundError,
@@ -472,6 +473,36 @@ def test_candidate_bound_refuses_before_the_echelon(monkeypatch):
     assert e.dims(2) == [[15]]
     monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 60)
     assert e.series(3)[3] == [[56]]
+
+
+def spy_distinct_leads(monkeypatch, module):
+    """Record, for each call of module's distinct_leads, whether the
+    certificate held (True) or the echelon fallback ran (False)."""
+    held = []
+    leads = module.distinct_leads
+
+    def spy(rows):
+        out = leads(rows)
+        held.append(out is not None)
+        return out
+
+    monkeypatch.setattr(module, "distinct_leads", spy)
+    return held
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_counted_degree_takes_both_rank_routes(monkeypatch, field):
+    # series(5) counts only degree 5. A~2's placements there have pairwise
+    # distinct leads, so no echelon is built; on D~4 and the triple arrow
+    # two leads meet from degree 4 on and the echelon pass starts over.
+    # Both routes must give the brute-force dims.
+    held = spy_distinct_leads(monkeypatch, preproj.algebra)
+    for q, certified in ((A2_TILDE, True), (d4_tilde(), False),
+                         (wild_pair()[1], False)):
+        held.clear()
+        p = preprojective_presentation(q, field)
+        assert GradedEngine(p).series(5).coeffs == naive_dims(p, 5)
+        assert held == [certified], q.arrows
 
 
 # a stored dims entry raised by one must be caught when the basis tuple is

@@ -327,15 +327,17 @@ STAR222_W3 = ("vertices: c v1 v2 v3\n"
 
 def test_candidate_bound_refuses_from_the_closed_form(tmp_path, capsys):
     # the series equals the closed form here, so C . cf_12 is degree 13's
-    # exact candidate count: refused before degrees 2-12 are built
-    t0 = time.perf_counter()
-    code, out, err = run(tmp_path, capsys, STAR222_W3, "hilbert",
-                         "--degree", "13")
-    elapsed = time.perf_counter() - t0
-    assert code == 1 and out == ""
-    assert err == ("error: degree 13 has 26375732 candidate paths, above the"
-                   " bound of 16000000\n")
-    assert elapsed < 1.0, elapsed
+    # exact candidate count: every command that builds degrees refuses
+    # before degrees 2-12 are built
+    for command in ("hilbert", "koszul", "torsion"):
+        t0 = time.perf_counter()
+        code, out, err = run(tmp_path, capsys, STAR222_W3, command,
+                             "--degree", "13")
+        elapsed = time.perf_counter() - t0
+        assert code == 1 and out == "", command
+        assert err == ("error: degree 13 has 26375732 candidate paths, above"
+                       " the bound of 16000000\n"), command
+        assert elapsed < 1.0, (command, elapsed)
 
 
 def test_negative_degree_rejected(tmp_path, capsys):

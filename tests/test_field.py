@@ -21,6 +21,7 @@ from preproj.field import (
     FieldSpec,
     SparseRref,
     back_substitute,
+    distinct_leads,
     is_prime,
     kernel_vectors,
     smith_normal_form,
@@ -284,6 +285,58 @@ def test_kernel_vectors_take_mixed_tags_and_no_rows():
     assert all(_combine(vec, rows, QQ) == {} for vec in kers)
     assert {(2, 1): Fraction(1)} in kers
     assert kernel_vectors({}, QQ) == []
+
+
+def test_distinct_leads_gives_the_leads_or_none():
+    rows = [{(1, 0): 2, (2, 5): 1}, {(0, 3): 1}, {(1, 1): 4, (0, 9): 1}]
+    assert distinct_leads(rows) == {(1, 0), (0, 3), (0, 9)}
+    assert distinct_leads([]) == set()
+    # a repeated lead, or an empty row, refuses the certificate
+    assert distinct_leads(rows + [{(0, 3): 5, (7, 7): 1}]) is None
+    assert distinct_leads(rows + [{}]) is None
+
+
+def test_distinct_leads_stops_at_the_first_repeat():
+    made = []
+
+    def rows(leads):
+        for k in leads:
+            made.append(k)
+            yield {} if k is None else {k: 1, 99: 1}
+
+    assert distinct_leads(rows([3, 1, 3, 2, 5])) is None
+    assert made == [3, 1, 3]
+    made.clear()
+    assert distinct_leads(rows([4, None, 2])) is None
+    assert made == [4, None]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_distinct_leads_are_the_echelon_pivots(field):
+    # where the certificate holds, its leads are the pivot keys a
+    # SparseRref of the same rows stores, and their count is the rank
+    rng = random.Random(606)
+    held = refused = 0
+    for _ in range(120):
+        c = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            row = {j: v for j in range(c) if rng.random() < 0.35
+                   and (v := field.convert(rng.randint(-3, 3)))}
+            rows.append(row)
+        leads = distinct_leads(rows)
+        if leads is None:
+            refused += 1
+            continue
+        held += 1
+        ech = SparseRref(field)
+        for row in rows:
+            ech.add_row(row)
+        assert leads == set(ech.rows)
+        dense = [[row.get(j, 0) for j in range(c)] for row in rows]
+        assert len(leads) == len(rows) == dense_rank(dense, field.p)
+    # the seed draws both outcomes
+    assert held > 15 and refused > 15, (held, refused)
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])

@@ -3,10 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import preproj
 from bruteforce import random_presentation, tor_by_search
-from test_acceptance import all_star_combos, extended_dynkin_five, wild_pair
+from test_acceptance import (
+    all_star_combos,
+    d4_tilde,
+    extended_dynkin_five,
+    wild_pair,
+)
+from test_algebra import spy_distinct_leads
 from preproj.algebra import (
+    CandidateBoundError,
     GradedEngine,
     Generator,
     Presentation,
@@ -278,6 +287,21 @@ def test_tor_matches_search_on_acceptance_battery():
                 q.arrows, q.white)
 
 
+def test_tor_differentials_take_both_rank_routes(monkeypatch):
+    # A~2's Tor columns never share a lead, so each rank is their count;
+    # D~4 has degrees whose leads meet, and those go through the echelon.
+    # Both tables must equal the search oracle's.
+    held = spy_distinct_leads(monkeypatch, preproj.koszul)
+    for pres, routes in ((cycle3_pres(), {True}),
+                         (preprojective_presentation(d4_tilde()),
+                          {True, False})):
+        held.clear()
+        engine = GradedEngine(pres)
+        tor = tor_dimensions(pres, 3, 6, engine)
+        assert set(held) == routes
+        assert tor == tor_by_search(pres, 3, 6, engine)
+
+
 def test_tor_matches_search_on_random_presentations():
     rng = random.Random(4242)
     methods = {"koszul-complex": 0, "syzygy": 0}
@@ -362,3 +386,27 @@ def test_stage3_check_raises_on_faulty_series():
             "%d kernel dims disagree at degree 3: ranks [[0, 0, 0], "
             "[0, 0, 0], [0, 0, 0]], series [[0, 1, 0], [0, 0, 0], [0, 0, 0]]"
             % len(flags)]
+
+
+def test_verdict_refuses_from_the_closed_form_through_its_reach(monkeypatch):
+    # the two-loop double: C . cf_2 = 4 * 15 = 60 candidates in degree 3.
+    # With stage 3 the engine reaches d_max, so d_max = 3 is refused before
+    # any degree is built; with i_max = 2 it reaches only N = 2, which
+    # stays under the bound
+    p = preprojective_presentation(
+        Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")]))
+    built = []
+    build = GradedEngine._build
+
+    def recorded(self, d, with_rewrite):
+        built.append(d)
+        return build(self, d, with_rewrite)
+
+    monkeypatch.setattr(GradedEngine, "_build", recorded)
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    with pytest.raises(CandidateBoundError) as exc:
+        koszulity_verdict(p, N=2, i_max=3, d_max=3)
+    assert (exc.value.degree, exc.value.candidates) == (3, 60)
+    assert built == []
+    v = koszulity_verdict(p, N=2, i_max=2, d_max=3)
+    assert v.koszul and built == [2]

@@ -9,6 +9,7 @@ import pytest
 import preproj
 from bruteforce import naive_divisors, random_presentation
 from preproj.algebra import (
+    CandidateBoundError,
     Generator,
     GradedEngine,
     Presentation,
@@ -299,3 +300,17 @@ def test_cross_check_survives_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
         "1 rational dimension mismatch at degree 3 block (0,1)")
+
+
+def test_refused_from_the_closed_form_before_any_degree(monkeypatch):
+    # the two-loop double: C . cf_2 = 4 * 15 = 60 candidates in degree 3,
+    # refused before the integer degree step starts
+    q = Quiver(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    started = []
+    monkeypatch.setattr(preproj.torsion, "_integer_degrees",
+                        lambda *args: started.append(args) or iter(()))
+    monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    with pytest.raises(CandidateBoundError) as exc:
+        torsion_check(q, 4)
+    assert (exc.value.degree, exc.value.candidates) == (3, 60)
+    assert started == []
