@@ -24,7 +24,6 @@ from .field import (
     FieldSpec,
     SparseRref,
     back_substitute,
-    distinct_leads,
 )
 from .quiver import Quiver, double
 from .series import MatrixSeries, closed_form, is_termwise_nonnegative
@@ -204,6 +203,66 @@ def place_relation(terms, u, rewrite: dict, acc) -> dict:
     return row
 
 
+def distinct_placement_leads(relations, rewrite: dict) -> bool:
+    """True when the placement rows of the next degree d are certified to
+    have pairwise distinct leads (minimal keys) and no empty row, read off
+    the degree d-1 rewrite table alone; False when that is not shown.
+
+    Take a relation whose smallest first letter b occurs in one term only,
+    (c, b, a). Its placement at a degree d-2 basis path u expands
+    m = (a,) + u, a degree d-1 candidate: m itself when m is a basis path,
+    rewrite[m] when m is a rewrite key. The keys starting with b come from
+    that term alone, are (b,) + w for the w of that expansion, and keep
+    nonzero coefficients; every other key starts with a larger letter. So
+    the row's lead is (b,) + L(m), with L(m) = m for a basis path and
+    L(m) = min(rewrite[m]) for a key with a nonempty rule. The rows have
+    pairwise distinct leads and none is empty when:
+
+    (i) every relation's smallest-b group is a single term;
+    (ii) the smallest b differs from relation to relation;
+    (iii) every rewrite key m whose first letter is some relation's a has a
+    nonempty rule, and min(rewrite[m])[0] != m[0];
+    (iv) for each such a, the leads min(rewrite[m]) of its keys are pairwise
+    distinct.
+
+    Proof. By (iii) no row is empty. Rows of two relations differ in their
+    leads' first letter by (ii). Two rows of one relation, at u != u', have
+    m != m'. If neither is a key, their leads (b,) + m differ; if both are,
+    (iv) separates them. If m is a key and m' is not, L(m)[0] != a by (iii)
+    while m'[0] = a. The keys with first letter a are exactly the
+    candidates (a,) + u that are keys, with u a basis path ending at t(a),
+    the relation's start, so (iv) covers every pair; relations sharing an a
+    share those keys, and their b's keep them apart.
+
+    Rows with pairwise distinct leads are triangular, so their rank is their
+    count, one per placement. Without (iii) a lead x of a rule may start with
+    a: then x = (a,) + x[1:], and x[1:] is a basis path ending at the
+    relation's start (the basis is suffix-closed), so x is also the lead of
+    the placement at x[1:]. The check costs one pass over the table. It is
+    the one-degree case of the overlap check in Bergman's diamond lemma
+    (Adv. Math. 29, 1978).
+    """
+    firsts = set()
+    letters = set()
+    for rel in relations:
+        b = min(t[1] for t in rel.terms)
+        group = [t for t in rel.terms if t[1] == b]
+        if len(group) != 1 or b in firsts:
+            return False
+        firsts.add(b)
+        letters.add(group[0][2])
+    seen = set()
+    for m, rule in rewrite.items():
+        if m[0] in letters:
+            if not rule:
+                return False
+            lead = min(rule)
+            if lead[0] == m[0] or (m[0], lead) in seen:
+                return False
+            seen.add((m[0], lead))
+    return True
+
+
 # Largest candidate count C . dims_{d-1} a degree's echelon may start on.
 # On the star with double arms to three leaves (centre and one leaf white)
 # degree 12 has 9,035,744 candidates and still builds; degree 13 has
@@ -250,11 +309,12 @@ class GradedEngine:
     (i, j) number exactly (C . dims_{d-1})[i][j] and every pivot is a
     candidate, so dims_d is that product minus the pivots per (end, start)
     block. The product is compared with CANDIDATE_BOUND before the echelon
-    starts. A degree built for its count alone makes its placement rows
-    one at a time and stores none: when their minimal keys are pairwise
-    distinct (field.distinct_leads) the rows are triangular and those keys
-    are the pivots, so no echelon is built. At the first repeated key the
-    rows are made again from the first and go through the echelon.
+    starts. A degree built for its count alone first asks the degree d-1
+    rewrite table whether its placement rows have pairwise distinct leads
+    and none is empty (distinct_placement_leads). Then the rows are
+    triangular, one per placement, so dims_{d-2} gives the pivot count
+    per block and no row is made, nor the degree d-2 basis tuple.
+    Otherwise the rows go through the echelon.
 
     Each built degree stores its dims matrix and, unless it was built for
     its count alone, its rewrite table. Its basis tuple (the candidates that
@@ -335,33 +395,31 @@ class GradedEngine:
         M = [[sum(C[i][k] * prev[k][j] for k in range(n)) for j in range(n)]
              for i in range(n)]
         check_candidates(d, sum(map(sum, M)))
-        acc = field.acc
         rw = self._rewrite[d - 1]
-        older = None if d == 2 else self._group(d - 2, True)
-
-        def placements():
+        if not with_rewrite and distinct_placement_leads(self.pres.relations,
+                                                         rw):
+            # one independent row per placement rel o u: dims_{d-2} counts
+            # the u, and no row is made
+            below = self._dims[d - 2]
+            for rel in self.pres.relations:
+                M[rel.end] = [x - y for x, y in zip(M[rel.end],
+                                                    below[rel.start])]
+        else:
+            older = None if d == 2 else self._group(d - 2, True)
+            ech = SparseRref(field)
             for rel in self.pres.relations:
                 for u in ((),) if older is None else older.get(rel.start, ()):
-                    row = place_relation(rel.terms, u, rw, acc)
+                    row = place_relation(rel.terms, u, rw, field.acc)
                     if row:
-                        yield row
-
-        # a counted degree reads only the pivot keys: distinct leads are
-        # exactly those keys, and no row is kept
-        pivots = None if with_rewrite else distinct_leads(placements())
-        if pivots is None:
-            ech = SparseRref(field)
-            for row in placements():
-                ech.add_row(row)
-            pivots = ech.rows
-        for m in pivots:
-            M[gens[m[0]].head][gens[m[-1]].tail] -= 1
+                        ech.add_row(row)
+            for m in ech.rows:
+                M[gens[m[0]].head][gens[m[-1]].tail] -= 1
         if any(v < 0 for row in M for v in row):
             raise AssertionError(
                 "degree %d has more pivots than candidates: %r" % (d, M))
         rewrite = None
         if with_rewrite:
-            units, _ = back_substitute(pivots, field)
+            units, _ = back_substitute(ech.rows, field)
             rewrite = {piv: {m: field.neg(c) for m, c in r.items() if m != piv}
                        for piv, r in units.items()}
         if len(self._dims) > d:
@@ -401,8 +459,10 @@ class GradedEngine:
 
     def series(self, N: int) -> MatrixSeries:
         """Dims to degree N. Rewrite tables are built through N-1, basis
-        tuples through N-2 (the placements group the degree N-2 basis by
-        end vertex) and degree N is only counted."""
+        tuples through N-3 (the degree N-1 placements group the degree N-3
+        basis by end vertex) and degree N is only counted; when its leads
+        are not certified, the placements of degree N also group the
+        degree N-2 basis."""
         self._ensure(N, False)
         return MatrixSeries(len(self.pres.vertices),
                             [self.dims(d) for d in range(N + 1)])

@@ -168,9 +168,9 @@ class SparseRref:
     space, so ranks need no more, and kernel_vectors finds kernels by
     inserting augmented rows. back_substitute turns the stored rows into
     the canonical reduced echelon form when rewrite rules are wanted.
-    Where only a rank or the pivot keys are read, distinct_leads certifies
-    them without an echelon when no two rows share a minimal key; this
-    class is the fallback when two do.
+    Where the Tor differentials (koszul._kernel_degree) read only a rank,
+    distinct_leads certifies it without an echelon when no two rows share
+    a minimal key; this class is the fallback when two do.
     """
 
     def __init__(self, field: FieldSpec):
@@ -220,7 +220,9 @@ def distinct_leads(rows):
     Rows with pairwise distinct minimal keys are triangular, hence
     independent: their rank is their count and their leads are the pivot
     keys any SparseRref of them would hold. rows may be a generator, so a
-    rank can be certified without storing a row.
+    rank can be certified without storing a row. Its caller is
+    koszul._kernel_degree; the engine's counted degrees read their leads
+    off the rewrite table instead (algebra.distinct_placement_leads).
     """
     leads = set()
     for row in rows:

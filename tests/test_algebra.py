@@ -14,7 +14,7 @@ from bruteforce import (
     random_presentation,
     random_quiver,
 )
-from test_acceptance import d4_tilde, wild_pair
+from test_acceptance import d4_tilde, full_battery, wild_pair
 from preproj.algebra import (
     AlgebraError,
     CandidateBoundError,
@@ -475,34 +475,148 @@ def test_candidate_bound_refuses_before_the_echelon(monkeypatch):
     assert e.series(3)[3] == [[56]]
 
 
-def spy_distinct_leads(monkeypatch, module):
-    """Record, for each call of module's distinct_leads, whether the
-    certificate held (True) or the echelon fallback ran (False)."""
+def spy_placement_leads(monkeypatch):
+    """Record, for each call of algebra.distinct_placement_leads, whether
+    the certificate held (True) or the echelon fallback ran (False)."""
     held = []
-    leads = module.distinct_leads
+    certify = preproj.algebra.distinct_placement_leads
 
-    def spy(rows):
-        out = leads(rows)
-        held.append(out is not None)
+    def spy(relations, rewrite):
+        out = certify(relations, rewrite)
+        held.append(out)
         return out
 
-    monkeypatch.setattr(module, "distinct_leads", spy)
+    monkeypatch.setattr(preproj.algebra, "distinct_placement_leads", spy)
     return held
+
+
+def spy_placement_degrees(monkeypatch):
+    """Record the degree of every placement row algebra makes."""
+    degrees = []
+    place = preproj.algebra.place_relation
+
+    def spy(terms, u, rewrite, acc):
+        degrees.append(len(u) + 2)
+        return place(terms, u, rewrite, acc)
+
+    monkeypatch.setattr(preproj.algebra, "place_relation", spy)
+    return degrees
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])
 def test_counted_degree_takes_both_rank_routes(monkeypatch, field):
-    # series(5) counts only degree 5. A~2's placements there have pairwise
-    # distinct leads, so no echelon is built; on D~4 and the triple arrow
-    # two leads meet from degree 4 on and the echelon pass starts over.
-    # Both routes must give the brute-force dims.
-    held = spy_distinct_leads(monkeypatch, preproj.algebra)
+    # series(5) counts only degree 5. A~2's degree-4 rewrite table
+    # certifies that its placements have distinct leads, so no row is
+    # made; D~4 and the triple arrow have rules whose lead starts with a
+    # relation's a, so the echelon runs. Both routes must give the
+    # brute-force dims.
+    held = spy_placement_leads(monkeypatch)
+    degrees = spy_placement_degrees(monkeypatch)
     for q, certified in ((A2_TILDE, True), (d4_tilde(), False),
                          (wild_pair()[1], False)):
         held.clear()
+        degrees.clear()
         p = preprojective_presentation(q, field)
         assert GradedEngine(p).series(5).coeffs == naive_dims(p, 5)
         assert held == [certified], q.arrows
+        assert (5 in degrees) != certified, q.arrows
+
+
+def _loops(letters, relations, field):
+    return Presentation(["v"], [Generator(x, 0, 0) for x in letters],
+                        relations, field)
+
+
+# presentations on which the certificate must refuse, with the counted
+# degree where it does; x < y < z are generators 0, 1, 2 in lex order
+REFUSALS = {
+    # xx and xy + yx share their smallest first letter x: (ii)
+    "same-smallest-b": (
+        lambda f: _loops("xy", [[(1, 0, 0)], [(1, 0, 1), (1, 1, 0)]], f),
+        4),
+    # x appears first in both xy and xx: (i)
+    "two-term-smallest-b": (
+        lambda f: _loops("xy", [[(1, 0, 1), (1, 0, 0)]], f), 4),
+    # the triple arrow's degree-3 rules have leads starting with the
+    # relations' a: (iii), though its placements stay independent
+    "overlap-triple-arrow": (
+        lambda f: preprojective_presentation(wild_pair()[1], f), 4),
+    # zx, xx + yx - yz, yx + zz: a degree-3 rule for a key x.. has a lead
+    # x.., two placements share a lead and the rows are dependent: (iii)
+    "overlap-dependent": (
+        lambda f: _loops("xyz", [[(1, 2, 0)],
+                                 [(1, 0, 0), (1, 1, 0), (-1, 1, 2)],
+                                 [(1, 1, 0), (1, 2, 2)]], f), 4),
+    # xy - yy + yx, zx, yy + zy: two keys y.. have rules with one lead,
+    # and the rows are dependent: (iv)
+    "repeated-rule-lead": (
+        lambda f: _loops("xyz", [[(1, 0, 1), (-1, 1, 1), (1, 1, 0)],
+                                 [(1, 2, 0)],
+                                 [(1, 1, 1), (1, 2, 1)]], f), 4),
+    # xx = 0 makes the key xx's rule empty, so xx o x is an empty row
+    "empty-rule-loop": (lambda f: _loops("x", [[(1, 0, 0)]], f), 3),
+    # A_2 with both vertices black: a*a = 0 and aa* = 0
+    "empty-rule-a2": (
+        lambda f: preprojective_presentation(a2_quiver(), f), 3),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_placement_leads_refusals_fall_back_to_the_echelon(
+        monkeypatch, case, field):
+    make, N = REFUSALS[case]
+    p = make(field)
+    held = spy_placement_leads(monkeypatch)
+    assert GradedEngine(p).series(N).coeffs == naive_dims(p, N)
+    assert held == [False]
+
+
+def test_dependent_refusals_exceed_the_closed_form():
+    # the two dependent cases are where a looser certificate would
+    # undercount: their degree-4 dims exceed the closed form, so their
+    # placement rows there are not independent
+    for case in ("overlap-dependent", "repeated-rule-lead"):
+        p = REFUSALS[case][0](QQ)
+        cf = closed_form(generator_matrix(p), relation_dim_matrix(p), 4)
+        assert GradedEngine(p).series(4)[4][0][0] > cf[4][0][0], case
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_placement_leads_match_naive_on_random_presentations(
+        monkeypatch, field):
+    rng = random.Random(1501 if field is QQ else 1502)
+    held = spy_placement_leads(monkeypatch)
+    done = 0
+    while done < 40:
+        p = random_presentation(rng, field=field, mass_cap=4000)
+        if p is None:
+            continue
+        naive = naive_dims(p, 6)
+        for N in range(2, 7):
+            assert GradedEngine(p).series(N).coeffs == naive[:N + 1], (
+                done, N)
+        done += 1
+    assert True in held and False in held
+
+
+def test_certified_counts_make_no_placement_row_on_battery(monkeypatch):
+    # where the certificate holds, series(6) makes no degree-6 row, and the
+    # rebuild that basis(6) runs reproduces the certified dims; all but D~4
+    # and the triple arrow are certified
+    held = spy_placement_leads(monkeypatch)
+    degrees = spy_placement_degrees(monkeypatch)
+    certified = 0
+    for q in full_battery():
+        held.clear()
+        degrees.clear()
+        e = GradedEngine(preprojective_presentation(q))
+        e.series(6)
+        if held == [True]:
+            certified += 1
+            assert 6 not in degrees, q.arrows
+        e.basis(6)
+    assert certified == 90
 
 
 # a stored dims entry raised by one must be caught when the basis tuple is

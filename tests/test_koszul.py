@@ -13,7 +13,6 @@ from test_acceptance import (
     extended_dynkin_five,
     wild_pair,
 )
-from test_algebra import spy_distinct_leads
 from preproj.algebra import (
     CandidateBoundError,
     GradedEngine,
@@ -285,6 +284,21 @@ def test_tor_matches_search_on_acceptance_battery():
             assert v.tor.partial == ()
             assert v.tor == tor_by_search(pres, 3, 6, engine), (
                 q.arrows, q.white)
+
+
+def spy_distinct_leads(monkeypatch, module):
+    """Record, for each call of module's distinct_leads, whether the
+    certificate held (True) or the echelon fallback ran (False)."""
+    held = []
+    leads = module.distinct_leads
+
+    def spy(rows):
+        out = leads(rows)
+        held.append(out is not None)
+        return out
+
+    monkeypatch.setattr(module, "distinct_leads", spy)
+    return held
 
 
 def test_tor_differentials_take_both_rank_routes(monkeypatch):

@@ -97,10 +97,12 @@ TWO_LOOP = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
 @pytest.mark.parametrize("q,field", [(STAR_222, QQ), (TWO_LOOP, FieldSpec(2))],
                          ids=["star222-w3", "two-loop-f2"])
 def test_series_memory_stays_bounded(q, field):
-    # series(8) counts degree 8 without listing or storing it: 1.5 and
-    # 1.0 MB traced. Keeping its placement rows in an echelon took 2.8 MB
-    # on both, and listing its candidates and basis again 9-13 MB; both
-    # fail the bound
+    # series(8) counts degree 8 from the degree-7 rewrite table alone,
+    # with no placement row and no degree-6 basis tuple: 0.8 and 0.7 MB
+    # traced. Making its placement rows one at a time and grouping the
+    # degree-6 basis took 1.6 MB on the star, keeping the rows in an
+    # echelon 2.8 MB on both, and listing the candidates and basis again
+    # 9-13 MB; each fails the bound on the star
     pres = preprojective_presentation(q, field)
     tracemalloc.start()
     try:
@@ -108,7 +110,7 @@ def test_series_memory_stays_bounded(q, field):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
+    assert peak < 2 ** 20, "traced peak %.1f MB" % (peak / 2 ** 20)
 
 
 @pytest.mark.parametrize("command", ["hilbert", "verify", "koszul",
