@@ -4,6 +4,12 @@ A quiver is a finite directed multigraph with loops and parallel arrows
 allowed, a distinguished set of white vertices, and optional nonzero scalar
 weights gamma on arrows of the double that touch a black vertex. Vertex
 order is declaration order and fixes all matrix indexing downstream.
+
+One search decides the trichotomy of a connected quiver: it returns an
+extended Dynkin subquiver (a witness) or, when there is none, the Dynkin
+label. classify reads its verdict off that result, and a witness that uses
+every arrow means the quiver is extended Dynkin;
+find_extended_dynkin_subquiver returns the witness.
 """
 
 from __future__ import annotations
@@ -74,13 +80,12 @@ class Quiver:
             if v not in vset:
                 raise QuiverError("white vertex %r not declared" % (v,))
         self.gamma = dict(gamma) if gamma else {}
-        doubled = self._double_names()
+        doubled = {a.name: a for a in double(self).arrows}
         black = vset - self.white
         for key, val in self.gamma.items():
             if key not in doubled:
                 raise QuiverError("gamma key %r is not an arrow of the double" % (key,))
-            t, h = doubled[key]
-            if t not in black and h not in black:
+            if doubled[key].tail not in black and doubled[key].head not in black:
                 raise QuiverError("gamma on %r, which touches no black vertex" % (key,))
             q = _gamma_value(val)
             if q is None:
@@ -89,13 +94,6 @@ class Quiver:
             if q == 0:
                 raise QuiverError("gamma %r = 0" % (key,))
             self.gamma[key] = q
-
-    def _double_names(self) -> dict[str, tuple[str, str]]:
-        out = {}
-        for a in self.arrows:
-            out[a.name] = (a.tail, a.head)
-            out[a.name + "*"] = (a.head, a.tail)
-        return out
 
     @property
     def black(self) -> frozenset:
@@ -200,20 +198,6 @@ def relation_count_matrix(q: Quiver) -> list[list[int]]:
     return D
 
 
-def _undirected(q: Quiver):
-    """loops[v] = loop count; mult[(u,v)] (u < v by index) = edge count."""
-    loops: dict[str, int] = {v: 0 for v in q.vertices}
-    mult: dict[tuple[str, str], int] = {}
-    order = {v: i for i, v in enumerate(q.vertices)}
-    for a in q.arrows:
-        if a.tail == a.head:
-            loops[a.tail] += 1
-        else:
-            u, v = sorted((a.tail, a.head), key=order.get)
-            mult[(u, v)] = mult.get((u, v), 0) + 1
-    return loops, mult
-
-
 def _is_connected(q: Quiver) -> bool:
     if len(q.vertices) == 1:
         return True
@@ -233,21 +217,69 @@ def _is_connected(q: Quiver) -> bool:
     return len(seen) == len(q.vertices)
 
 
-def _arm_lengths(adj: dict[str, list[str]], branch: str) -> list[tuple[int, str]]:
-    """For a tree: length of each arm hanging off branch, with the first
-    neighbor on that arm. Arms are returned in neighbor declaration order."""
+def _search(q: Quiver) -> tuple[str, list[str] | None]:
+    """The ADE search on a connected quiver: (label, arrow names) of an
+    extended Dynkin subquiver, or (Dynkin label, None) when it has none.
+
+    Cases in order: a self loop (A~_0); a parallel pair (A~_1); a cycle
+    (A~_{k-1} on k vertices); a vertex of degree >= 4 and four of its edges
+    (D~_4); two branch vertices, the path between them and the two other
+    edges at each end (D~); then the arms of the one branch vertex, longest
+    first, cut to lengths (2, 2, 2), (3, 3, 1) or (5, 2, 1) for E~_6, E~_7
+    or E~_8. What no case takes is a tree with no branch vertex (A_n) or
+    arms (a, 1, 1) (D_n) or (a, 2, 1) with a <= 4 (E_n), n the vertex count.
+    """
+    order = {v: i for i, v in enumerate(q.vertices)}
+    for a in q.arrows:
+        if a.tail == a.head:
+            return "A~_0", [a.name]
+    pairs: dict[tuple[str, str], list[str]] = {}
+    for a in q.arrows:
+        u, v = sorted((a.tail, a.head), key=order.get)
+        pairs.setdefault((u, v), []).append(a.name)
+    for key in sorted(pairs, key=lambda uv: (order[uv[0]], order[uv[1]])):
+        if len(pairs[key]) >= 2:
+            return "A~_1", pairs[key][:2]
+    # simple graph now; one arrow per undirected edge
+    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
+    for (u, v) in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def edge(u, v):
+        return pairs[tuple(sorted((u, v), key=order.get))][0]
+
+    cycle = _find_cycle(q.vertices, adj)
+    if cycle:
+        return "A~_%d" % (len(cycle) - 1), [
+            edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    for v in q.vertices:
+        if len(adj[v]) >= 4:
+            return "D~_4", [edge(v, w) for w in adj[v][:4]]
+    branches = [v for v in q.vertices if len(adj[v]) == 3]
+    if len(branches) >= 2:
+        path = _tree_path(adj, branches[0], branches[1])
+        names = [edge(u, v) for u, v in zip(path, path[1:])]
+        for b in branches[:2]:
+            names.extend(edge(b, w) for w in adj[b] if w not in path)
+        return "D~_%d" % (len(path) + 3), names
+    n = len(q.vertices)
+    if not branches:
+        return "A_%d" % n, None
+    b = branches[0]
     arms = []
-    for first in adj[branch]:
-        length = 1
-        prev, cur = branch, first
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if len(nxt) != 1:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append((length, first))
-    return arms
+    for first in adj[b]:
+        arm, prev, cur = [edge(b, first)], b, first
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(w for w in adj[cur] if w != prev)
+            arm.append(edge(prev, cur))
+        arms.append(arm)
+    arms.sort(key=len, reverse=True)
+    for label, cut in (("E~_6", (2, 2, 2)), ("E~_7", (3, 3, 1)),
+                       ("E~_8", (5, 2, 1))):
+        if all(len(arm) >= k for arm, k in zip(arms, cut)):
+            return label, [x for arm, k in zip(arms, cut) for x in arm[:k]]
+    return ("D_%d" if len(arms[1]) == 1 else "E_%d") % n, None
 
 
 def classify(q: Quiver) -> Classification:
@@ -255,73 +287,32 @@ def classify(q: Quiver) -> Classification:
 
     Loops and multi-edges are non-Dynkin by convention: one vertex with one
     loop is the extended type A~_0, a double edge is A~_1.
+
+    The verdict is read off _search: no witness means Dynkin, a witness
+    that uses every arrow means extended Dynkin, any other means other.
+    Write the graph's form as B(x, x) with B = (2I - C)/2, C the
+    adjacency_double. A Dynkin graph has B positive definite; an extended
+    Dynkin graph W has B_W positive semidefinite with its radical spanned by
+    a vector delta > 0 on every vertex. If W is a subgraph of G then for
+    x = delta on W's vertices and 0 elsewhere B_G(x, x) <= B_W(delta, delta)
+    = 0, since G's extra edges only subtract; so a graph with a witness is
+    not Dynkin, and a graph with none is one of the Dynkin trees _search
+    names. Every proper subgraph H of W is Dynkin: for x != 0 on H,
+    B_H(x, x) >= B_H(|x|, |x|) >= B_W(|x|, |x|) >= 0, and equality
+    throughout puts |x| in the radical, so |x| is a multiple of delta and
+    H, missing a vertex or an edge of W, would have B_H(|x|, |x|) > 0.
+    Hence the extended Dynkin graphs are exactly the minimal connected
+    non-Dynkin graphs, and a witness inside G is all of G exactly when G
+    is extended Dynkin. A witness covers every arrow exactly when it is
+    all of G, since G is connected.
     """
     if not _is_connected(q):
         return Classification(False, None, None)
-    n = len(q.vertices)
-    loops, mult = _undirected(q)
-    nloops = sum(loops.values())
-    nedges = sum(mult.values())
-    if nloops:
-        if n == 1 and nloops == 1:
-            return Classification(True, EXTENDED, "A~_0")
-        return Classification(True, OTHER, None)
-    if any(c >= 2 for c in mult.values()):
-        if n == 2 and nedges == 2:
-            return Classification(True, EXTENDED, "A~_1")
-        return Classification(True, OTHER, None)
-    # simple graph from here on
-    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for (u, v) in mult:
-        adj[u].append(v)
-        adj[v].append(u)
-    deg = {v: len(adj[v]) for v in q.vertices}
-    if nedges == n:
-        if all(d == 2 for d in deg.values()):
-            return Classification(True, EXTENDED, "A~_%d" % (n - 1))
-        return Classification(True, OTHER, None)
-    if nedges != n - 1:
-        return Classification(True, OTHER, None)
-    # tree
-    branches = [v for v in q.vertices if deg[v] >= 3]
-    if not branches:
-        return Classification(True, DYNKIN, "A_%d" % n)
-    if len(branches) == 1:
-        b = branches[0]
-        if deg[b] >= 5:
-            return Classification(True, OTHER, None)
-        arms = sorted((l for l, _ in _arm_lengths(adj, b)), reverse=True)
-        if deg[b] == 4:
-            if arms == [1, 1, 1, 1]:
-                return Classification(True, EXTENDED, "D~_4")
-            return Classification(True, OTHER, None)
-        a1, a2, a3 = arms
-        if a2 == 1:
-            return Classification(True, DYNKIN, "D_%d" % n)
-        if a3 == 1 and a2 == 2:
-            if a1 in (2, 3, 4):
-                return Classification(True, DYNKIN, "E_%d" % n)
-            if a1 == 5:
-                return Classification(True, EXTENDED, "E~_8")
-            return Classification(True, OTHER, None)
-        if a3 == 1:
-            if (a1, a2) == (3, 3):
-                return Classification(True, EXTENDED, "E~_7")
-            return Classification(True, OTHER, None)
-        if arms == [2, 2, 2]:
-            return Classification(True, EXTENDED, "E~_6")
-        return Classification(True, OTHER, None)
-    if len(branches) == 2 and all(deg[b] == 3 for b in branches):
-        b1, b2 = branches
-        path = set(_tree_path(adj, b1, b2))
-        ok = True
-        for b in (b1, b2):
-            # exactly two off-path arms, both single edges
-            legs = sorted(l for l, first in _arm_lengths(adj, b) if first not in path)
-            if legs != [1, 1]:
-                ok = False
-        if ok:
-            return Classification(True, EXTENDED, "D~_%d" % (n - 1))
+    label, names = _search(q)
+    if names is None:
+        return Classification(True, DYNKIN, label)
+    if len(names) == len(q.arrows):
+        return Classification(True, EXTENDED, label)
     return Classification(True, OTHER, None)
 
 
@@ -355,86 +346,17 @@ def _sub(q: Quiver, names: list[str]) -> Quiver:
 
 
 def find_extended_dynkin_subquiver(q: Quiver) -> Quiver:
-    """A subquiver (vertex and arrow subset) of extended Dynkin type.
+    """A subquiver (vertex and arrow subset) of extended Dynkin type: the
+    witness of _search, which classify reads its verdict from.
 
     Defined for connected non-Dynkin quivers; raises QuiverError otherwise.
-    Deterministic search: self loop, parallel pair, cycle, degree >= 4
-    vertex, two branch vertices, then arm truncation on a single branch.
     """
-    cls = classify(q)
-    if not cls.connected:
+    if not _is_connected(q):
         raise QuiverError("quiver is disconnected")
-    if cls.verdict == DYNKIN:
+    names = _search(q)[1]
+    if names is None:
         raise QuiverError("quiver is Dynkin: no extended Dynkin subquiver")
-    for a in q.arrows:
-        if a.tail == a.head:
-            return _sub(q, [a.name])
-    pairs: dict[tuple[str, str], list[str]] = {}
-    order = {v: i for i, v in enumerate(q.vertices)}
-    for a in q.arrows:
-        u, v = sorted((a.tail, a.head), key=order.get)
-        pairs.setdefault((u, v), []).append(a.name)
-    for key in sorted(pairs, key=lambda uv: (order[uv[0]], order[uv[1]])):
-        if len(pairs[key]) >= 2:
-            return _sub(q, pairs[key][:2])
-    # simple graph now; one representative arrow per undirected edge
-    edge_arrow = {uv: names[0] for uv, names in pairs.items()}
-    adj: dict[str, list[str]] = {v: [] for v in q.vertices}
-    for (u, v) in edge_arrow:
-        adj[u].append(v)
-        adj[v].append(u)
-    cycle = _find_cycle(q.vertices, adj)
-    if cycle:
-        names = []
-        for i in range(len(cycle)):
-            u, v = cycle[i], cycle[(i + 1) % len(cycle)]
-            u, v = sorted((u, v), key=order.get)
-            names.append(edge_arrow[(u, v)])
-        return _sub(q, names)
-
-    def edge(u, v):
-        a, b = sorted((u, v), key=order.get)
-        return edge_arrow[(a, b)]
-
-    deg = {v: len(adj[v]) for v in q.vertices}
-    for v in q.vertices:
-        if deg[v] >= 4:
-            return _sub(q, [edge(v, w) for w in adj[v][:4]])
-    branches = [v for v in q.vertices if deg[v] == 3]
-    if len(branches) >= 2:
-        b1, b2 = branches[0], branches[1]
-        path = _tree_path(adj, b1, b2)
-        names = [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        on_path = set(path)
-        for b in (b1, b2):
-            extra = [w for w in adj[b] if w not in on_path][:2]
-            names.extend(edge(b, w) for w in extra)
-        return _sub(q, names)
-    if len(branches) == 1:
-        b = branches[0]
-        arms = _arm_lengths(adj, b)
-        arms_sorted = sorted(arms, key=lambda t: (-t[0], order[t[1]]))
-
-        def walk(first, length):
-            out, prev, cur = [edge(b, first)], b, first
-            while len(out) < length:
-                nxt = [w for w in adj[cur] if w != prev][0]
-                out.append(edge(cur, nxt))
-                prev, cur = cur, nxt
-            return out
-
-        (l1, f1), (l2, f2), (l3, f3) = arms_sorted
-        if l3 >= 2:
-            take = (2, 2, 2)  # E~_6
-        elif l2 >= 3:
-            take = (3, 3, 1)  # E~_7
-        elif l1 >= 5 and l2 == 2:
-            take = (5, 2, 1)  # E~_8
-        else:
-            raise QuiverError("no extended Dynkin subquiver found")
-        names = walk(f1, take[0]) + walk(f2, take[1]) + walk(f3, take[2])
-        return _sub(q, names)
-    raise QuiverError("no extended Dynkin subquiver found")
+    return _sub(q, names)
 
 
 def _find_cycle(vertices, adj) -> list[str] | None:

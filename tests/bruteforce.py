@@ -379,26 +379,56 @@ def random_quiver(rng, max_vertices=3, max_arrows=3, allow_white=True):
     return Quiver(vs, arrows, white)
 
 
-def spectral_class(q):
-    """ADE trichotomy via exact spectral data of C = adjacency_double:
-    Dynkin iff the top eigenvalue is < 2 (2I - C positive definite, checked
-    by leading principal minors), ExtendedDynkin iff it is exactly 2
-    (singular 2I - C with a strictly positive kernel vector). Connected
-    quivers only."""
-    from preproj.quiver import (DYNKIN, EXTENDED, OTHER, QuiverError,
-                                _is_connected, adjacency_double)
+def connected(C):
+    """Whether the graph of a square matrix is connected: a search over
+    its nonzero entries from index 0."""
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j, c in enumerate(C[i]):
+            if c and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(C)
 
-    if not _is_connected(q):
-        raise QuiverError("spectral_class needs a connected quiver")
+
+def spectral_class(q):
+    """(verdict, label) of the ADE trichotomy via exact spectral data of
+    C = adjacency_double: Dynkin iff the top eigenvalue is < 2 (2I - C
+    positive definite, checked by leading principal minors), ExtendedDynkin
+    iff it is exactly 2 (singular 2I - C with a strictly positive kernel
+    vector). The letter of a Dynkin label comes from det(2I - C): n + 1 for
+    A_n, 4 for D_n (n >= 4), 9 - n for E_n. The letter of an extended label
+    comes from the largest entry of the primitive integer kernel vector: 1
+    for A~, 2 for D~, 3, 4 or 6 for E~. Subscripts come from the vertex
+    count n. Connected quivers only."""
+    from math import gcd, lcm
+
+    from preproj.quiver import (DYNKIN, EXTENDED, OTHER, QuiverError,
+                                adjacency_double)
+
     C = adjacency_double(q)
+    if not connected(C):
+        raise QuiverError("spectral_class needs a connected quiver")
     n = len(C)
     M = [[(2 if i == j else 0) - C[i][j] for j in range(n)] for i in range(n)]
     if all(_det([row[:k] for row in M[:k]]) > 0 for k in range(1, n + 1)):
-        return DYNKIN
+        det = _det(M)
+        if det == n + 1:
+            return DYNKIN, "A_%d" % n
+        if det == 4 and n >= 4:
+            return DYNKIN, "D_%d" % n
+        if det == 9 - n and n in (6, 7, 8):
+            return DYNKIN, "E_%d" % n
+        raise AssertionError("no Dynkin type has det(2I - C) = %s" % det)
     ker = _kernel_vector(M)
-    if ker is not None and all(x > 0 for x in ker):
-        return EXTENDED
-    return OTHER
+    if ker is None or not all(x > 0 for x in ker):
+        return OTHER, None
+    scale = lcm(*(x.denominator for x in ker))
+    ints = [int(x * scale) for x in ker]
+    top = max(ints) // gcd(*ints)
+    letter = {1: "A~", 2: "D~", 3: "E~", 4: "E~", 6: "E~"}[top]
+    return EXTENDED, "%s_%d" % (letter, n - 1)
 
 
 def _det(rows):

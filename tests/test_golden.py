@@ -3,8 +3,9 @@
 Each case runs ``cli.main`` on a quiver file in tests/golden and compares
 its stdout with the stored ``.out`` file and its exit code with the one
 stored here. The fixtures were captured from the CLI before the integer
-torsion moved onto the quotient basis, so they pin TSV and JSON bytes
-across internal rewrites.
+torsion moved onto the quotient basis, and the ``classify`` ones before
+the ADE rule moved into one search, so they pin TSV and JSON bytes across
+internal rewrites.
 """
 
 from pathlib import Path
@@ -26,6 +27,12 @@ CASES = [
     ("torsion_a2_tilde_json", ["torsion"] + A2T + JSON, 0),
     ("koszul_d4_tilde_json", ["koszul", "d4_tilde.quiver"] + JSON, 0),
     ("verify_a2_tsv", ["verify", "a2.quiver", "--degree", "8"], 1),
+    ("classify_a2_tsv", ["classify", "a2.quiver"], 0),
+    ("classify_a2_json", ["classify", "a2.quiver"] + JSON, 0),
+    ("classify_d4_tilde_tsv", ["classify", "d4_tilde.quiver"], 0),
+    ("classify_d4_tilde_json", ["classify", "d4_tilde.quiver"] + JSON, 0),
+    ("classify_wild_tree_tsv", ["classify", "wild_tree.quiver"], 0),
+    ("classify_wild_tree_json", ["classify", "wild_tree.quiver"] + JSON, 0),
 ]
 
 

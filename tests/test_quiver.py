@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bruteforce import spectral_class
+from bruteforce import connected, spectral_class
 from preproj.quiver import (
     Arrow,
     DYNKIN,
@@ -296,4 +297,71 @@ def test_spectral_class_agrees_with_combinatorial():
               tree_quiver([("1", "2"), ("2", "3"), ("3", "4"), ("3", "5")])]
     corpus += [_random_connected(rng, 5) for _ in range(40)]
     for q in corpus:
-        assert spectral_class(q) == classify(q).verdict
+        cls = classify(q)
+        assert spectral_class(q) == (cls.verdict, cls.label)
+
+
+def _census():
+    """Every labelled multigraph on 1..5 vertices with at most five edges
+    and enough edges to be connected, loops and parallel edges allowed, one
+    arrow per edge from the lower-numbered end."""
+    for n in range(1, 6):
+        vs = [str(k) for k in range(n)]
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for m in range(n - 1, 6):
+            for edges in itertools.combinations_with_replacement(slots, m):
+                yield Quiver(vs, [Arrow("e%d" % k, vs[i], vs[j])
+                                  for k, (i, j) in enumerate(edges)])
+
+
+def _pruefer_quivers(rng, count):
+    """Seeded random labelled trees on 6..10 vertices, decoded from Pruefer
+    sequences, each with no or one extra edge (possibly a loop or a
+    parallel edge)."""
+    for _ in range(count):
+        n = rng.randint(6, 10)
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        deg = [1] * n
+        for x in seq:
+            deg[x] += 1
+        edges = []
+        for x in seq:
+            leaf = deg.index(1)
+            edges.append((leaf, x))
+            deg[leaf] -= 1
+            deg[x] -= 1
+        edges.append(tuple(i for i in range(n) if deg[i] == 1))
+        if rng.random() < 0.5:
+            edges.append((rng.randrange(n), rng.randrange(n)))
+        vs = [str(k) for k in range(n)]
+        yield Quiver(vs, [Arrow("e%d" % k, vs[a], vs[b])
+                          for k, (a, b) in enumerate(edges)])
+
+
+def test_classify_matches_spectral_oracle_on_census():
+    # 2,426 connected graphs in the census; the Pruefer trees reach the
+    # E_n and E~_n that five vertices cannot
+    graphs = 0
+    labels = set()
+    for q in itertools.chain(_census(),
+                             _pruefer_quivers(random.Random(99), 400)):
+        cls = classify(q)
+        assert cls.connected == connected(adjacency_double(q))
+        if not cls.connected:
+            continue
+        graphs += 1
+        labels.add(cls.label)
+        assert (cls.verdict, cls.label) == spectral_class(q)
+        if cls.verdict == DYNKIN:
+            with pytest.raises(QuiverError):
+                find_extended_dynkin_subquiver(q)
+            continue
+        sub = find_extended_dynkin_subquiver(q)
+        assert set(sub.vertices) <= set(q.vertices)
+        assert set(sub.arrows) <= set(q.arrows)
+        contains = classify(sub)
+        assert (contains.verdict, contains.label) == spectral_class(sub)
+        assert contains.verdict == EXTENDED
+        assert (len(sub.arrows) < len(q.arrows)) == (cls.verdict == OTHER)
+    assert graphs == 2426 + 400
+    assert {"E_6", "E_7", "E_8", "E~_6", "E~_7", "E~_8"} <= labels
