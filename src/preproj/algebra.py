@@ -489,7 +489,7 @@ class GradedEngine:
         self._mul_cache[key] = out
         return out
 
-    def left_mul(self, g: int, vec: dict, d: int) -> dict:
+    def left_mul(self, g: int, vec: dict) -> dict:
         """Left-multiply a degree-d coordinate vector by generator g, in
         degree d+1 coordinates. Degree-0 vectors are keyed by vertex index."""
         out: dict = {}
@@ -509,7 +509,7 @@ class GradedEngine:
             raise AlgebraError("empty word has no single vertex; use dims(0)")
         vec = {gens[path[-1]].tail: self.field.one}
         for pos in range(len(path) - 1, -1, -1):
-            vec = self.left_mul(path[pos], vec, len(path) - 1 - pos)
+            vec = self.left_mul(path[pos], vec)
             if not vec:
                 return {}
         return vec

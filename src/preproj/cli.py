@@ -1,18 +1,19 @@
 """Command-line front end.
 
 Subcommands: classify a quiver, print the Hilbert series of its doubled
-presentation or the matrix closed form 1/(1 - Ct + D t^2), verify the two
+presentation or the matrix closed form 1/(1 - Ct + D_J t^2), verify the two
 agree, and run the Koszulity and integer-torsion reports.
 
-Exit codes: 0 success or claim verified, 1 claim fails or is undetermined
+main(argv) returns the exit code and may be called repeatedly in one
+process: 0 success or claim verified, 1 claim fails or is undetermined
 (a witness or the blocking cap is printed, or a degree's candidate count
 exceeds the engine's bound), 2 malformed input.
 """
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -36,19 +37,7 @@ from .quiver import (
 from .series import EQUAL, closed_form, termwise_compare, to_json_obj, to_tsv
 from .torsion import TorsionError, torsion_check
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    path: str
-    field: FieldSpec
-    degree: int
-    i_max: int
-    d_max: int
-    fmt: str
-    seed: int | None
+__all__ = ["main"]
 
 
 def _field_token(field: FieldSpec) -> str:
@@ -56,29 +45,29 @@ def _field_token(field: FieldSpec) -> str:
     return "q" if field.p is None else "f%d" % field.p
 
 
-def _load(cfg: RunConfig):
-    text = Path(cfg.path).read_text(encoding="utf-8")
+def _load(args: argparse.Namespace):
+    text = Path(args.file).read_text(encoding="utf-8")
     return parse_quiver(text)
 
 
-def _emit(cfg: RunConfig, obj: dict, tsv_lines: list) -> None:
-    if cfg.fmt == "json":
-        if cfg.seed is not None:
-            obj["seed"] = cfg.seed
+def _emit(args: argparse.Namespace, obj: dict, tsv_lines: list) -> None:
+    if args.format == "json":
+        if args.seed is not None:
+            obj["seed"] = args.seed
         print(json.dumps(obj, sort_keys=True))
     else:
-        if cfg.seed is not None:
-            tsv_lines = ["seed\t%d" % cfg.seed] + tsv_lines
+        if args.seed is not None:
+            tsv_lines = ["seed\t%d" % args.seed] + tsv_lines
         sys.stdout.write("\n".join(tsv_lines) + "\n")
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    q = _load(cfg)
+def cmd_classify(args: argparse.Namespace) -> int:
+    q = _load(args)
     cls = classify(q)
     obj = {"command": "classify", "connected": cls.connected,
            "verdict": cls.verdict, "label": cls.label}
     if not cls.connected:
-        _emit(cfg, obj, ["disconnected"])
+        _emit(args, obj, ["disconnected"])
         return 0
     if cls.verdict == DYNKIN:
         line = "connected, Dynkin (%s)" % cls.label
@@ -88,60 +77,60 @@ def cmd_classify(cfg: RunConfig) -> int:
         sub = find_extended_dynkin_subquiver(q)
         obj["contains"] = classify(sub).label
         line = "connected, other (contains %s)" % obj["contains"]
-    _emit(cfg, obj, [line])
+    _emit(args, obj, [line])
     return 0
 
 
-def _series_report(cfg: RunConfig, q, command: str, series) -> None:
-    obj = {"command": command, "field": _field_token(cfg.field),
+def _series_report(args: argparse.Namespace, q, command: str, series) -> None:
+    obj = {"command": command, "field": _field_token(args.field),
            "truncation": series.truncation,
            "vertices": list(q.vertices), "series": to_json_obj(series)}
-    _emit(cfg, obj, [to_tsv(series).rstrip("\n")])
+    _emit(args, obj, [to_tsv(series).rstrip("\n")])
 
 
-def cmd_hilbert(cfg: RunConfig) -> int:
-    q = _load(cfg)
-    pres = preprojective_presentation(q, cfg.field)
-    h = hilbert_series(pres, cfg.degree)
-    _series_report(cfg, q, "hilbert", h)
+def cmd_hilbert(args: argparse.Namespace) -> int:
+    q = _load(args)
+    pres = preprojective_presentation(q, args.field)
+    h = hilbert_series(pres, args.degree)
+    _series_report(args, q, "hilbert", h)
     return 0
 
 
-def cmd_closed_form(cfg: RunConfig) -> int:
-    q = _load(cfg)
-    s = closed_form(adjacency_double(q), relation_count_matrix(q), cfg.degree)
-    _series_report(cfg, q, "closed-form", s)
+def cmd_closed_form(args: argparse.Namespace) -> int:
+    q = _load(args)
+    s = closed_form(adjacency_double(q), relation_count_matrix(q), args.degree)
+    _series_report(args, q, "closed-form", s)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    q = _load(cfg)
-    pres = preprojective_presentation(q, cfg.field)
-    h = hilbert_series(pres, cfg.degree)
-    s = closed_form(adjacency_double(q), relation_count_matrix(q), cfg.degree)
+def cmd_verify(args: argparse.Namespace) -> int:
+    q = _load(args)
+    pres = preprojective_presentation(q, args.field)
+    h = hilbert_series(pres, args.degree)
+    s = closed_form(adjacency_double(q), relation_count_matrix(q), args.degree)
     cmp = termwise_compare(h, s)
-    obj = {"command": "verify", "field": _field_token(cfg.field),
-           "truncation": cfg.degree, "equal": cmp.relation == EQUAL,
+    obj = {"command": "verify", "field": _field_token(args.field),
+           "truncation": args.degree, "equal": cmp.relation == EQUAL,
            "witness": None}
     if cmp.relation == EQUAL:
-        _emit(cfg, obj, [
+        _emit(args, obj, [
             "verified: series equals the closed form through degree %d"
-            % cfg.degree])
+            % args.degree])
         return 0
     d, i, j = cmp.witness
     obj["witness"] = {"degree": d, "row": q.vertices[i], "col": q.vertices[j],
                       "computed": h[d][i][j], "closed_form": s[d][i][j]}
-    _emit(cfg, obj, [
+    _emit(args, obj, [
         "mismatch at degree %d entry (%s, %s): computed %d, closed form %d"
         % (d, q.vertices[i], q.vertices[j], h[d][i][j], s[d][i][j])])
     return 1
 
 
-def cmd_koszul(cfg: RunConfig) -> int:
-    q = _load(cfg)
-    pres = preprojective_presentation(q, cfg.field)
-    v = koszul.koszulity_verdict(pres, N=cfg.degree, i_max=cfg.i_max,
-                                 d_max=cfg.d_max)
+def cmd_koszul(args: argparse.Namespace) -> int:
+    q = _load(args)
+    pres = preprojective_presentation(q, args.field)
+    v = koszul.koszulity_verdict(pres, N=args.degree, i_max=args.imax,
+                                 d_max=args.dmax)
     names = q.vertices
     wit_objs = []
     lines = []
@@ -160,7 +149,7 @@ def cmd_koszul(cfg: RunConfig) -> int:
             lines.append(
                 "Tor_%d has a class in degree %d, block (%s, %s)"
                 % (i, d, names[r], names[c]))
-    obj = {"command": "koszul", "field": _field_token(cfg.field),
+    obj = {"command": "koszul", "field": _field_token(args.field),
            "koszul": v.koszul, "complete": v.complete,
            "koszul_up_to": list(v.koszul_up_to),
            "series_degree": v.series_degree, "witnesses": wit_objs,
@@ -170,21 +159,21 @@ def cmd_koszul(cfg: RunConfig) -> int:
         obj["partial"] = [list(c) for c in v.tor.partial]
         obj["column_cap"] = koszul.TOR_COLUMN_CAP
     if v.koszul:
-        _emit(cfg, obj, ["Koszul up to (%d, %d)" % v.koszul_up_to,
-                         "series equals the closed form through degree %d"
-                         % v.series_degree])
+        _emit(args, obj, ["Koszul up to (%d, %d)" % v.koszul_up_to,
+                          "series equals the closed form through degree %d"
+                          % v.series_degree])
         return 0
     if not lines:
         lines.append("undetermined: Tor cells skipped by the column cap of"
                      " %d columns: %s" % (koszul.TOR_COLUMN_CAP, ", ".join(
                          "(%d, %d)" % c for c in v.tor.partial)))
-    _emit(cfg, obj, ["not Koszul up to (%d, %d)" % v.koszul_up_to] + lines)
+    _emit(args, obj, ["not Koszul up to (%d, %d)" % v.koszul_up_to] + lines)
     return 1
 
 
-def cmd_torsion(cfg: RunConfig) -> int:
-    q = _load(cfg)
-    rep = torsion_check(q, cfg.degree)
+def cmd_torsion(args: argparse.Namespace) -> int:
+    q = _load(args)
+    rep = torsion_check(q, args.degree)
     names = q.vertices
     entries = []
     lines = ["degree\trow\tcol\tdivisors"]
@@ -206,17 +195,21 @@ def cmd_torsion(cfg: RunConfig) -> int:
         lines.append("torsion found")
     else:
         lines.append("no torsion")
-    _emit(cfg, obj, lines)
+    _emit(args, obj, lines)
     return 0 if not rep.torsion_found else 1
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "hilbert": cmd_hilbert,
-    "closed-form": cmd_closed_form,
-    "verify": cmd_verify,
-    "koszul": cmd_koszul,
-    "torsion": cmd_torsion,
+_COMMANDS = {  # name -> (command, help text), in --help order
+    "classify": (cmd_classify,
+                 "connectivity and Dynkin / extended Dynkin / other"),
+    "hilbert": (cmd_hilbert,
+                "Hilbert series of the doubled presentation to degree N"),
+    "closed-form": (cmd_closed_form,
+                    "the series 1/(1 - Ct + D_J t^2) to degree N"),
+    "verify": (cmd_verify, "compare the computed series with the closed form"),
+    "koszul": (cmd_koszul, "series equality plus Tor concentration"),
+    "torsion": (cmd_torsion,
+                "Smith normal forms of the integer relation matrices"),
 }
 
 
@@ -245,7 +238,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, not at import, and shared by later calls."""
     common = _Parser(add_help=False)
     common.add_argument("file", help="quiver description file")
     common.add_argument("--field", default="q", metavar="q|f<p>",
@@ -265,26 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Preprojective algebras of quivers: Hilbert series, "
                     "closed forms, Koszulity, and integer torsion.")
     sub = p.add_subparsers(dest="command", required=True)
-    helps = {
-        "classify": "connectivity and Dynkin / extended Dynkin / other",
-        "hilbert": "Hilbert series of the doubled presentation to degree N",
-        "closed-form": "the series 1/(1 - Ct + D_J t^2) to degree N",
-        "verify": "compare the computed series with the closed form",
-        "koszul": "series equality plus Tor concentration",
-        "torsion": "Smith normal forms of the integer relation matrices",
-    }
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args.command, args.file, FieldSpec.parse(args.field),
-                        args.degree, args.imax, args.dmax, args.format,
-                        args.seed)
-        return _COMMANDS[cfg.command](cfg)
+        args.field = FieldSpec.parse(args.field)
+        return _COMMANDS[args.command][0](args)
     except (QuiverError, AlgebraError, FieldError, TorsionError, OSError,
             UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)

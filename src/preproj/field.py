@@ -53,12 +53,15 @@ def is_prime(n: int) -> bool:
 class FieldSpec:
     """The coefficient field: Q (p is None) or GF(p) for a prime p."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not is_prime(p):
             raise FieldError("not a prime: %r" % (p,))
         self.p = p
+        # one shared instance of each constant: Fractions are immutable
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -82,14 +85,6 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return "FieldSpec(%r)" % (self.p,)
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def convert(self, x):
         """Map an int or Fraction into the field. Raises FieldError when a

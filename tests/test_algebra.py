@@ -288,7 +288,7 @@ def test_left_mul_associative():
         vec = {w: Fraction(rng.randint(-2, 2)) for w in basis}
         vec = {w: c for w, c in vec.items() if c}
         g1, g2 = rng.randrange(2), rng.randrange(2)
-        one_then_other = e.left_mul(g1, e.left_mul(g2, vec, d), d + 1)
+        one_then_other = e.left_mul(g1, e.left_mul(g2, vec))
         via_word = {}
         for w, c in vec.items():
             for u, cu in e.left_mul_path(g2, w).items():

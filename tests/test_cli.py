@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import preproj.algebra
 import preproj.koszul
-from preproj.cli import main
+from preproj.cli import build_parser, main
 from preproj.series import from_json_obj
 
 A0 = "vertices: 1\narrow l: 1 -> 1\n"
@@ -18,6 +21,7 @@ STAR1 = "vertices: 1 2\narrow a1: 2 -> 1\nwhite: 2\n"
 ALLWHITE = "vertices: 1 2\narrow a: 1 -> 2\nwhite: 1 2\n"
 TWOLOOP = "vertices: 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
 ISOLATED = "vertices: 1 2\narrow l: 1 -> 1\n"
+NOARROW = "vertices: a\n"
 GAMMA2 = ("vertices: 1 2\narrow a: 2 -> 1\nwhite: 2\n"
           "gamma a = 2\ngamma a* = 1\n")
 
@@ -356,3 +360,76 @@ def test_malformed_flag_value_rejected(tmp_path, capsys):
 
 def test_unknown_command_rejected(capsys):
     _usage_error(capsys, ["frobnicate", "x"])
+
+
+def test_one_black_vertex_without_arrows_splits_the_closed_forms(
+        tmp_path, capsys):
+    # closed-form and verify use the paper's D_J, which counts the black
+    # vertex; koszul compares with the relation span's dims, and the
+    # relation at a vertex with no arrow is zero, so its D has a 0 there
+    code, out, _ = run(tmp_path, capsys, NOARROW, "verify")
+    assert code == 1
+    assert out == ("mismatch at degree 2 entry (a, a): "
+                   "computed 0, closed form -1\n")
+    code, out, _ = run(tmp_path, capsys, NOARROW, "koszul")
+    assert code == 0
+    assert out == ("Koszul up to (3, 8)\n"
+                   "series equals the closed form through degree 10\n")
+
+
+def test_repeated_main_calls_build_one_parser(tmp_path, capsys):
+    build_parser.cache_clear()
+    for command in ("classify", "hilbert", "koszul"):
+        run(tmp_path, capsys, A0, command, "--degree", "2")
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _alone(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "preproj.cli", *argv], capture_output=True,
+        text=True, timeout=120,
+        env={"PYTHONPATH": str(Path(preproj.__file__).parent.parent)})
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # a failed parse, then non-default flags, then all defaults: each call
+    # prints what it prints in an interpreter of its own
+    f = tmp_path / "q.quiver"
+    f.write_text(A0, encoding="utf-8")
+    calls = [["hilbert", str(f), "--degree", "3", "--format", "xml"],
+             ["hilbert", str(f), "--degree", "3", "--seed", "7",
+              "--format", "json"],
+             ["hilbert", str(f)]]
+    in_one_process = [_in_process(capsys, argv) for argv in calls]
+    assert [code for _, _, code in in_one_process] == [2, 0, 0]
+    assert in_one_process == [_alone(argv) for argv in calls]
+
+
+def test_help_lists_every_command(capsys):
+    helps = {
+        "classify": "connectivity and Dynkin / extended Dynkin / other",
+        "hilbert": "Hilbert series of the doubled presentation to degree N",
+        "closed-form": "the series 1/(1 - Ct + D_J t^2) to degree N",
+        "verify": "compare the computed series with the closed form",
+        "koszul": "series equality plus Tor concentration",
+        "torsion": "Smith normal forms of the integer relation matrices",
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    words = " ".join(out.split())  # the wrapping follows the terminal width
+    assert "{%s}" % ",".join(helps) in words
+    for name, text in helps.items():
+        assert "%s %s" % (name, text) in words, name
