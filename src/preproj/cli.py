@@ -2,7 +2,9 @@
 
 Subcommands: classify a quiver, print the Hilbert series of its doubled
 presentation or the matrix closed form 1/(1 - Ct + D_J t^2), verify the two
-agree, and run the Koszulity and integer-torsion reports.
+agree, and run the Koszulity and integer-torsion reports. Each takes the
+file, --format, --seed and the flags _COMMANDS gives it; any other flag is
+a usage error (closed-form and torsion are integer, so take no --field).
 
 main(argv) returns the exit code and may be called repeatedly in one
 process: 0 success or claim verified, 1 claim fails or is undetermined
@@ -40,14 +42,8 @@ from .torsion import TorsionError, torsion_check
 __all__ = ["main"]
 
 
-def _field_token(field: FieldSpec) -> str:
-    """The --field notation, so reports can be fed back into flags."""
-    return "q" if field.p is None else "f%d" % field.p
-
-
 def _load(args: argparse.Namespace):
-    text = Path(args.file).read_text(encoding="utf-8")
-    return parse_quiver(text)
+    return parse_quiver(Path(args.file).read_text(encoding="utf-8"))
 
 
 def _emit(args: argparse.Namespace, obj: dict, tsv_lines: list) -> None:
@@ -81,10 +77,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _series_report(args: argparse.Namespace, q, command: str, series) -> None:
-    obj = {"command": command, "field": _field_token(args.field),
-           "truncation": series.truncation,
-           "vertices": list(q.vertices), "series": to_json_obj(series)}
+def _series_report(args: argparse.Namespace, q, series, **obj) -> None:
+    obj.update(truncation=series.truncation, vertices=list(q.vertices),
+               series=to_json_obj(series))
     _emit(args, obj, [to_tsv(series).rstrip("\n")])
 
 
@@ -92,14 +87,14 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     q = _load(args)
     pres = preprojective_presentation(q, args.field)
     h = hilbert_series(pres, args.degree)
-    _series_report(args, q, "hilbert", h)
+    _series_report(args, q, h, command="hilbert", field=args.field.token)
     return 0
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
     q = _load(args)
     s = closed_form(adjacency_double(q), relation_count_matrix(q), args.degree)
-    _series_report(args, q, "closed-form", s)
+    _series_report(args, q, s, command="closed-form")
     return 0
 
 
@@ -109,7 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h = hilbert_series(pres, args.degree)
     s = closed_form(adjacency_double(q), relation_count_matrix(q), args.degree)
     cmp = termwise_compare(h, s)
-    obj = {"command": "verify", "field": _field_token(args.field),
+    obj = {"command": "verify", "field": args.field.token,
            "truncation": args.degree, "equal": cmp.relation == EQUAL,
            "witness": None}
     if cmp.relation == EQUAL:
@@ -149,7 +144,7 @@ def cmd_koszul(args: argparse.Namespace) -> int:
             lines.append(
                 "Tor_%d has a class in degree %d, block (%s, %s)"
                 % (i, d, names[r], names[c]))
-    obj = {"command": "koszul", "field": _field_token(args.field),
+    obj = {"command": "koszul", "field": args.field.token,
            "koszul": v.koszul, "complete": v.complete,
            "koszul_up_to": list(v.koszul_up_to),
            "series_degree": v.series_degree, "witnesses": wit_objs,
@@ -199,16 +194,18 @@ def cmd_torsion(args: argparse.Namespace) -> int:
     return 0 if not rep.torsion_found else 1
 
 
-_COMMANDS = {  # name -> (command, help text), in --help order
-    "classify": (cmd_classify,
+_COMMANDS = {  # name -> (command, flags besides file/--format/--seed, help)
+    "classify": (cmd_classify, (),
                  "connectivity and Dynkin / extended Dynkin / other"),
-    "hilbert": (cmd_hilbert,
+    "hilbert": (cmd_hilbert, ("--field", "--degree"),
                 "Hilbert series of the doubled presentation to degree N"),
-    "closed-form": (cmd_closed_form,
+    "closed-form": (cmd_closed_form, ("--degree",),
                     "the series 1/(1 - Ct + D_J t^2) to degree N"),
-    "verify": (cmd_verify, "compare the computed series with the closed form"),
-    "koszul": (cmd_koszul, "series equality plus Tor concentration"),
-    "torsion": (cmd_torsion,
+    "verify": (cmd_verify, ("--field", "--degree"),
+               "compare the computed series with the closed form"),
+    "koszul": (cmd_koszul, ("--field", "--degree", "--imax", "--dmax"),
+               "series equality plus Tor concentration"),
+    "torsion": (cmd_torsion, ("--degree",),
                 "Smith normal forms of the integer relation matrices"),
 }
 
@@ -238,45 +235,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+_FLAGS = {  # name -> add_argument keywords
+    "file": dict(help="quiver description file"),
+    "--field": dict(default="q", metavar="q|f<p>",
+                    help="coefficient field (default q)"),
+    "--degree": dict(type=_nonneg, default=10, metavar="N",
+                     help="series truncation degree (default 10)"),
+    "--imax": dict(type=_nonneg, default=3, metavar="I",
+                   help="largest homological degree (default 3)"),
+    "--dmax": dict(type=_nonneg, default=8, metavar="D",
+                   help="largest internal degree for Tor (default 8)"),
+    "--format": dict(choices=("tsv", "json"), default="tsv",
+                     help="output format (default tsv)"),
+    "--seed": dict(type=_ascii_int, default=None, metavar="S",
+                   help="seed echoed into the report for reproducibility"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built on the first call, not at import, and shared by later calls."""
-    common = _Parser(add_help=False)
-    common.add_argument("file", help="quiver description file")
-    common.add_argument("--field", default="q", metavar="q|f<p>",
-                        help="coefficient field (default q)")
-    common.add_argument("--degree", type=_nonneg, default=10, metavar="N",
-                        help="series truncation degree (default 10)")
-    common.add_argument("--imax", type=_nonneg, default=3, metavar="I",
-                        help="largest homological degree (default 3)")
-    common.add_argument("--dmax", type=_nonneg, default=8, metavar="D",
-                        help="largest internal degree for Tor (default 8)")
-    common.add_argument("--format", choices=("tsv", "json"), default="tsv",
-                        help="output format (default tsv)")
-    common.add_argument("--seed", type=_ascii_int, default=None, metavar="S",
-                        help="seed echoed into the report for reproducibility")
     p = _Parser(
         prog="preproj",
         description="Preprojective algebras of quivers: Hilbert series, "
                     "closed forms, Koszulity, and integer torsion.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+    for name, (_, flags, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in ("file",) + flags + ("--format", "--seed"):
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.field = FieldSpec.parse(args.field)
+        if "field" in args:
+            args.field = FieldSpec.parse(args.field)
         return _COMMANDS[args.command][0](args)
     except (QuiverError, AlgebraError, FieldError, TorsionError, OSError,
-            UnicodeDecodeError) as e:
+            UnicodeDecodeError, CandidateBoundError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except CandidateBoundError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+        return 1 if isinstance(e, CandidateBoundError) else 2
 
 
 if __name__ == "__main__":

@@ -74,6 +74,11 @@ class FieldSpec:
         raise FieldError("unrecognized field %r (expected q or f<p>)" % (text,))
 
     @property
+    def token(self) -> str:
+        """The --field notation that parse reads back: 'q' or 'f<p>'."""
+        return "q" if self.p is None else "f%d" % self.p
+
+    @property
     def name(self) -> str:
         return "Q" if self.p is None else "GF(%d)" % self.p
 

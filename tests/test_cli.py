@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -7,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import preproj.algebra
+import preproj.cli
 import preproj.koszul
 from preproj.cli import build_parser, main
+from preproj.field import FieldSpec
 from preproj.series import from_json_obj
 
 A0 = "vertices: 1\narrow l: 1 -> 1\n"
@@ -237,7 +241,7 @@ def test_bad_field_spec(tmp_path, capsys):
 
 
 def test_field_above_primality_bound_is_input_error(tmp_path, capsys):
-    code, out, err = run(tmp_path, capsys, A0, "classify",
+    code, out, err = run(tmp_path, capsys, A0, "hilbert",
                          "--field", "f%d" % (10 ** 25 + 13))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -257,6 +261,7 @@ def _usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("flag", ["--degree", "--imax", "--dmax", "--seed"])
@@ -264,8 +269,27 @@ def test_unicode_digit_integer_flag_rejected(tmp_path, capsys, flag):
     # int() reads an Arabic-Indic three as 3; a flag must not
     f = tmp_path / "q.quiver"
     f.write_text(A0, encoding="utf-8")
-    _usage_error(capsys, ["hilbert", str(f), flag, "\u0663"])
-    _usage_error(capsys, ["koszul", str(f), flag, "\u0664\u0662"])
+    for command in ("hilbert", "koszul"):
+        if command == "hilbert" and flag in ("--imax", "--dmax"):
+            continue  # only koszul takes these
+        for value in ("\u0663", "\u0664\u0662"):
+            err = _usage_error(capsys, [command, str(f), flag, value])
+            assert "invalid int value" in err, (command, err)
+
+
+@pytest.mark.parametrize("argv", [["torsion", "--field", "f5"],
+                                  ["classify", "--degree", "3"],
+                                  ["closed-form", "--field", "f5"],
+                                  ["hilbert", "--imax", "2"]],
+                         ids=lambda argv: argv[0])
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys,
+                                                       argv):
+    # torsion works over Z and closed-form is an integer series: a field
+    # there, or a bound a command never reads, is refused, not ignored
+    f = tmp_path / "q.quiver"
+    f.write_text(A2T, encoding="utf-8")
+    err = _usage_error(capsys, [argv[0], str(f)] + argv[1:])
+    assert err == "error: unrecognized arguments: %s\n" % " ".join(argv[1:])
 
 
 def test_unicode_digit_gamma_is_input_error(tmp_path, capsys):
@@ -293,8 +317,9 @@ def test_candidate_bound_is_undetermined(tmp_path, capsys, monkeypatch,
     # degree 3 of the two-loop double has 4 * 15 = 60 candidates; over a
     # bound of 59 every command stops with exit 1 (undetermined), not 2
     monkeypatch.setattr(preproj.algebra, "CANDIDATE_BOUND", 59)
+    dmax = ["--dmax", "4"] if command == "koszul" else []
     code, out, err = run(tmp_path, capsys, TWOLOOP, command,
-                         "--degree", "4", "--dmax", "4")
+                         "--degree", "4", *dmax)
     assert code == 1 and out == ""
     assert err == ("error: degree 3 has 60 candidate paths, above the bound"
                    " of 59\n")
@@ -379,8 +404,9 @@ def test_one_black_vertex_without_arrows_splits_the_closed_forms(
 
 def test_repeated_main_calls_build_one_parser(tmp_path, capsys):
     build_parser.cache_clear()
-    for command in ("classify", "hilbert", "koszul"):
-        run(tmp_path, capsys, A0, command, "--degree", "2")
+    for argv in (["classify"], ["hilbert", "--degree", "2"],
+                 ["koszul", "--degree", "2"]):
+        assert run(tmp_path, capsys, A0, *argv)[0] == 0
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
@@ -433,3 +459,39 @@ def test_help_lists_every_command(capsys):
     assert "{%s}" % ",".join(helps) in words
     for name, text in helps.items():
         assert "%s %s" % (name, text) in words, name
+    # each subcommand lists the file, --format, --seed and its own flags
+    own = {"classify": [], "hilbert": ["--field", "--degree"],
+           "closed-form": ["--degree"], "verify": ["--field", "--degree"],
+           "koszul": ["--field", "--degree", "--imax", "--dmax"],
+           "torsion": ["--degree"]}
+    for name, flags in own.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == "" and " file" in out, name
+        listed = set(re.findall(r"--[a-z]+", out))
+        assert listed == {"--help", "--format", "--seed", *flags}, name
+
+
+@pytest.mark.parametrize("name", list(preproj.cli._COMMANDS))
+def test_every_command_reads_every_flag_it_takes(tmp_path, capsys, name):
+    # a flag the command never reads would be ignored without a word; run
+    # the command on a namespace that records each attribute read
+    f = tmp_path / "q.quiver"
+    f.write_text(A2, encoding="utf-8")
+    args = build_parser().parse_args([name, str(f)])
+    declared = set(vars(args)) - {"command"}
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    rec = Recording(**vars(args))
+    if "field" in declared:
+        rec.field = FieldSpec.parse(rec.field)
+    read.clear()
+    preproj.cli._COMMANDS[name][0](rec)
+    assert declared - read == set(), "%s never reads %s" % (
+        name, sorted(declared - read))

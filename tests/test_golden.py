@@ -5,7 +5,9 @@ its stdout with the stored ``.out`` file and its exit code with the one
 stored here. The fixtures were captured from the CLI before the integer
 torsion moved onto the quotient basis, and the ``classify`` ones before
 the ADE rule moved into one search, so they pin TSV and JSON bytes across
-internal rewrites.
+internal rewrites. The ``closed-form`` ones were added when that command
+lost its ``--field`` flag: the TSV is the bytes it printed before, and the
+JSON is the earlier object without its ``"field"`` key.
 """
 
 from pathlib import Path
@@ -33,6 +35,10 @@ CASES = [
     ("classify_d4_tilde_json", ["classify", "d4_tilde.quiver"] + JSON, 0),
     ("classify_wild_tree_tsv", ["classify", "wild_tree.quiver"], 0),
     ("classify_wild_tree_json", ["classify", "wild_tree.quiver"] + JSON, 0),
+    # the Dynkin terms of the closed form go negative from degree 3
+    ("closed_form_a2_tsv", ["closed-form", "a2.quiver", "--degree", "4"], 0),
+    ("closed_form_a2_json",
+     ["closed-form", "a2.quiver", "--degree", "4"] + JSON, 0),
 ]
 
 

@@ -12,11 +12,13 @@ import pytest
 
 import preproj
 from preproj.algebra import GradedEngine, preprojective_presentation
+from preproj.cli import build_parser
 from preproj.field import QQ, FieldSpec, SparseRref
 from preproj.quiver import Arrow, Quiver
 
 SRC = Path(preproj.__file__).resolve().parent
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+WORKLOADS_FILE = SPANS_FILE.with_name("workloads.py")
 A2_TILDE_FILE = Path(__file__).resolve().parent / "golden" / "a2_tilde.quiver"
 
 
@@ -74,6 +76,26 @@ def test_bench_span_targets_resolve():
         if not callable(owner):
             missing.append("%s.%s" % (modname, attr))
     assert not missing, "bench span targets gone: %s" % ", ".join(missing)
+
+
+def test_bench_command_lines_parse():
+    # every job's argv must parse, so no job passes a flag its command does
+    # not take; workloads.py is exec'd from its source, so nothing under
+    # bench/ is imported as a module or written
+    ns = {"__name__": "workloads"}
+    exec(compile(WORKLOADS_FILE.read_text(encoding="utf-8"),
+                 str(WORKLOADS_FILE), "exec"), ns)
+    for workload in ns["WORKLOADS"]:
+        command = ns["COMMAND"][workload]
+        for seed in (0, 1, 11):
+            for _, args in ns["jobs"](workload, seed):
+                argv = [command, "q.quiver"] + args
+                try:
+                    parsed = build_parser().parse_args(argv)
+                except SystemExit:
+                    pytest.fail("bench argv does not parse: %s" % argv)
+                taken = {a[2:] for a in args if a.startswith("--")}
+                assert taken <= set(vars(parsed)), argv
 
 
 def test_add_row_returns_what_the_bench_reads():
