@@ -542,10 +542,26 @@ def closed_form_floor(p: Presentation, N: int) -> MatrixSeries | None:
     return cf
 
 
-# The prime of the modular route hilbert_series tries over Q: the largest
-# prime below 2**31. Every denominator below it is a unit mod it, and a
-# product of two residues stays a small int.
+# The prime of the modular routes of hilbert_series and
+# koszul.koszulity_verdict over Q: the largest prime below 2**31. Every
+# denominator below it is a unit mod it, and a product of two residues
+# stays a small int.
 WORD_PRIME = 2**31 - 1
+
+
+def word_prime_image(p: Presentation) -> Presentation | None:
+    """p with its relations reduced mod WORD_PRIME, for p over Q; None
+    when p is over GF(p) or a denominator vanishes mod WORD_PRIME. Its
+    placement rows are those of p reduced mod WORD_PRIME, which is what
+    inequality (2) of hilbert_series compares."""
+    if p.field.p is not None:
+        return None
+    try:
+        return Presentation(p.vertices, p.generators,
+                            [rel.terms for rel in p.relations],
+                            FieldSpec(WORD_PRIME))
+    except FieldError:
+        return None
 
 
 def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
@@ -563,21 +579,20 @@ def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
     mod p is nonzero over Q), and the rows are block-diagonal in
     (end, start), so each block of the ideal is at least as large over Q.
 
-    Over Q with cf >= 0 the engine runs mod WORD_PRIME first. If that
-    series equals cf, then cf <= h_Q <= h_p = cf by (1) and (2), so cf is
-    returned and the engine never runs over Q. Otherwise, and when a denominator
-    vanishes mod WORD_PRIME or the modular engine meets CANDIDATE_BOUND
-    (h_p may exceed h_Q), the engine runs over Q.
+    Over Q with cf >= 0 the engine runs mod WORD_PRIME first
+    (word_prime_image). If that series equals cf, then cf <= h_Q <= h_p =
+    cf by (1) and (2), so cf is returned and the engine never runs over Q.
+    Otherwise, and when a denominator vanishes mod WORD_PRIME or the
+    modular engine meets CANDIDATE_BOUND (h_p may exceed h_Q), the engine
+    runs over Q.
     """
     cf = closed_form_floor(p, N)
-    if cf is not None and p.field.p is None:
+    modular = None if cf is None else word_prime_image(p)
+    if modular is not None:
         try:
-            modular = Presentation(p.vertices, p.generators,
-                                   [rel.terms for rel in p.relations],
-                                   FieldSpec(WORD_PRIME))
             if GradedEngine(modular).series(N) == cf:
                 return cf
-        except (FieldError, CandidateBoundError):
+        except CandidateBoundError:
             pass
     return GradedEngine(p).series(N)
 

@@ -17,6 +17,12 @@ h_A(1-Ct+Dt^2)-1. When that kernel vanishes through d_max (the series
 equals 1/(1-Ct+Dt^2) there) the Tor table is the Koszul complex's, and the
 verdict's method reads "koszul-complex"; when stage 3 or later finds a
 generator or the Tor column cap leaves a cell partial, it reads "syzygy".
+
+Over Q the verdict runs first mod WORD_PRIME, with every check above, and
+stands when it is Koszul by the Koszul complex with the same relation dims
+over both fields; the proof that the rational verdict is then the same is
+in koszulity_verdict. Any other modular outcome falls back to the verdict
+over Q.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    CandidateBoundError,
     GradedEngine,
     Presentation,
     closed_form_floor,
     generator_matrix,
     relation_dim_matrix,
     relation_space_rows,
+    word_prime_image,
 )
 from .field import SparseRref, distinct_leads, kernel_vectors
 from .series import (
@@ -349,11 +357,51 @@ def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
     table is the Koszul complex's; otherwise it is "syzygy". A partial cell
     (the Tor column cap) leaves the verdict incomplete. Before any degree
     is built here, closed_form_floor refuses from the closed form through
-    the highest degree the engine reaches: max(N, d_max) when stage 3
+    M, the highest degree the engine reaches: max(N, d_max) when stage 3
     runs, else N.
+
+    Over Q, with no engine passed and cf >= 0 through M, the whole verdict
+    runs first over GF(P), P = WORD_PRIME (word_prime_image), and is
+    returned when it is Koszul by the Koszul complex (method
+    "koszul-complex") and the relation dims are the same over both fields.
+    Otherwise (not Koszul, a generator found from stage 3 on, partial, a
+    denominator divisible by P, CANDIDATE_BOUND met mod P, or a relation
+    rank that falls mod P) the verdict runs over Q. A passed engine is used
+    as given.
+
+    Why the answer is the same. Equal relation dims give cf_P = cf.
+    Koszul mod P gives h_P = cf through N. Method "koszul-complex" mod P
+    means no generator was found from stage 3 on, so when stage 3 runs its
+    kernel, whose lowest nonzero degree would hold a generator, is zero
+    through d_max; its dims are h_P(I - Ct + Dt^2) - I, so h_P = cf
+    through M. From the floor h_Q >= cf, and from inequality (2) of
+    hilbert_series h_Q <= h_P, so h_Q = cf through M. Then the rational
+    GS report equals the modular one, the rational stage-3 kernel is zero
+    through d_max, and nothing is found from stage 4 on; the column cap
+    reads only dims, which agree. Tor_0..Tor_2 are I, C and D over both
+    fields. So the rational verdict equals the modular one field by
+    field, method included. Koszul alone is not enough when N < 3: a
+    Tor_3 class in degree 3 is concentrated, yet there h_P > cf may hide
+    a rational series that leaves cf above degree 3. An AssertionError
+    mod P is never a reason to fall back: it propagates.
     """
-    closed_form_floor(p, max(N, d_max) if i_max >= 3 and p.relations else N)
-    engine = engine or GradedEngine(p)
+    M = max(N, d_max) if i_max >= 3 and p.relations else N
+    cf = closed_form_floor(p, M)
+    modular = (None if cf is None or engine is not None
+               else word_prime_image(p))
+    if (modular is not None
+            and relation_dim_matrix(modular) == relation_dim_matrix(p)):
+        try:
+            v = _verdict(modular, N, i_max, d_max, GradedEngine(modular))
+            if v.koszul and v.method == "koszul-complex":
+                return v
+        except CandidateBoundError:
+            pass
+    return _verdict(p, N, i_max, d_max, engine or GradedEngine(p))
+
+
+def _verdict(p, N, i_max, d_max, engine) -> KoszulVerdict:
+    """The verdict of koszulity_verdict from one engine over p's field."""
     gs = golod_shafarevich_check(p, N, engine)
     tor = tor_dimensions(p, i_max, d_max, engine)
     found = any(any(map(any, M)) for (i, _), M in tor.entries.items()

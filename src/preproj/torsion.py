@@ -22,8 +22,10 @@ outside {0, 1} is torsion, i.e. a graded piece whose dimension jumps when
 the coefficients are reduced mod p.
 
 Every run cross-checks the chains against graded dimensions computed
-independently by the engine over the rationals and over GF(p), for p = 2,
-3 and every prime that divides an elementary divisor.
+independently: over the rationals by hilbert_series (the closed form,
+certified by the engine mod WORD_PRIME, or else the engine over Q), and by
+the engine over GF(p), for p = 2, 3 and every prime that divides an
+elementary divisor.
 """
 
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ from .algebra import (
     check_candidates,
     closed_form_floor,
     generator_matrix,
+    hilbert_series,
     place_relation,
     preprojective_presentation,
 )
@@ -284,10 +287,12 @@ def torsion_check(q, N: int) -> SmithReport:
 
 def _cross_check(pres, N, paths, entries, check_primes):
     """Check #paths - rank == graded dimension, over the rationals and over
-    GF(p) for every checked prime, on every degree and block. The GF(p)
+    GF(p) for every checked prime, on every degree and block. The rational
+    dims come from hilbert_series, so where the series mod WORD_PRIME
+    equals the closed form no engine runs over Q. The GF(p)
     presentations reduce the integer relations mod p, and the rank mod p
     of a chain is the number of its divisors that p does not divide."""
-    series_by = {None: GradedEngine(pres).series(N)}
+    series_by = {None: hilbert_series(pres, N)}
     for p in check_primes:
         pres_p = Presentation(pres.vertices, pres.generators,
                               [rel.terms for rel in pres.relations],

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from test_acceptance import (
     wild_pair,
 )
 from preproj.algebra import (
+    WORD_PRIME,
     CandidateBoundError,
     GradedEngine,
     Generator,
@@ -424,3 +426,147 @@ def test_verdict_refuses_from_the_closed_form_through_its_reach(monkeypatch):
     assert built == []
     v = koszulity_verdict(p, N=2, i_max=2, d_max=3)
     assert v.koszul and built == [2]
+
+
+def _record_engines(monkeypatch):
+    """Record the field prime (None for Q) of every GradedEngine made."""
+    fields = []
+    init = GradedEngine.__init__
+
+    def recorded(self, pres):
+        fields.append(pres.field.p)
+        init(self, pres)
+
+    monkeypatch.setattr(GradedEngine, "__init__", recorded)
+    return fields
+
+
+def test_verdict_over_q_runs_only_mod_the_word_prime(monkeypatch):
+    pres = cycle3_pres()
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    assert fields == [WORD_PRIME]
+    assert v.koszul and v.method == "koszul-complex"
+
+
+def test_verdict_falls_back_on_a_word_prime_denominator(monkeypatch):
+    gamma = {name: Fraction(1) for name in ("a", "b", "c", "a*", "b*", "c*")}
+    gamma["b*"] = Fraction(5, 3 * WORD_PRIME)
+    pres = preprojective_presentation(Quiver(
+        ["1", "2", "3"],
+        [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1")],
+        (), gamma))
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    assert fields == [None]
+    assert v.koszul
+
+
+def test_verdict_falls_back_on_a_negative_closed_form(monkeypatch):
+    # A_3 is Dynkin: its closed form goes negative, so only Q runs
+    pres = preprojective_presentation(
+        Quiver(["1", "2", "3"], [Arrow("a", "1", "2"),
+                                 Arrow("b", "2", "3")]))
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    assert fields == [None]
+    assert not v.koszul
+
+
+def test_verdict_falls_back_when_not_koszul_mod_the_word_prime(monkeypatch):
+    # x, y with the one relation xx: cf = 1/(1-t)^2, and the series is
+    # above it from degree 3 on, so both fields run and Q decides
+    pres = Presentation(["v"], [Generator("x", 0, 0), Generator("y", 0, 0)],
+                        [[(1, 0, 0)]])
+    want = koszulity_verdict(pres, N=6, i_max=3, d_max=6,
+                             engine=GradedEngine(pres))
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+    assert fields == [WORD_PRIME, None]
+    assert v == want and not v.koszul
+    assert v.witnesses[0] == ("series", (3, 0, 0))
+
+
+def test_verdict_falls_back_when_a_relation_rank_drops_mod_the_word_prime(
+        monkeypatch):
+    # x1x0 + x3x2 and x1x0 + (P+1) x3x2 are independent over Q and equal
+    # mod P. Mod P the algebra is Koszul with Tor_2 = [[1]] and
+    # dims_2 = [[15]]; over Q the answer is Tor_2 = [[2]], dims_2 = [[14]]
+    pres = Presentation(["v"], [Generator("x%d" % k, 0, 0) for k in range(4)],
+                        [[(1, 1, 0), (1, 3, 2)],
+                         [(1, 1, 0), (WORD_PRIME + 1, 3, 2)]])
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=5, i_max=3, d_max=5)
+    assert fields == [None]
+    assert v.tor.matrix(2, 2) == [[2]]
+    assert v.gs.series[2] == [[14]]
+
+
+def test_verdict_falls_back_when_stage_3_finds_a_class_mod_the_word_prime(
+        monkeypatch):
+    # xy and zx + P yy: mod P the monomial algebra on xy, zx, Koszul with
+    # a Tor_3 class zxy in degree 3 and dims_3 = 16. Over Q dims_3 = 15 =
+    # cf_3 but dims_4 = 33 > 31, so Tor_3 lives in degree 4. With N = 2 the
+    # series check mod P reads only degrees <= 2, so a Koszul verdict mod P
+    # that found a stage-3 class must not stand
+    pres = Presentation(["v"], [Generator(n, 0, 0) for n in "xyz"],
+                        [[(1, 0, 1)], [(1, 2, 0), (WORD_PRIME, 1, 1)]])
+    want = koszulity_verdict(pres, N=2, i_max=3, d_max=4,
+                             engine=GradedEngine(pres))
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=2, i_max=3, d_max=4)
+    assert fields == [WORD_PRIME, None]
+    assert v == want and not v.koszul
+    assert v.tor.matrix(3, 3) == [[0]] and v.tor.matrix(3, 4) == [[2]]
+
+
+def test_verdict_with_an_engine_passed_runs_no_modular_engine(monkeypatch):
+    pres = cycle3_pres()
+    fields = _record_engines(monkeypatch)
+    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6,
+                          engine=GradedEngine(pres))
+    assert fields == [None]
+    assert v.koszul
+
+
+def _battery_with_gammas(rng):
+    """The acceptance battery with seeded nonzero rational gammas."""
+    out = []
+    for q in acceptance_battery():
+        black = set(q.vertices) - set(q.white)
+        gamma = {}
+        for a in q.arrows:
+            if a.tail in black or a.head in black:
+                for name in (a.name, a.name + "*"):
+                    gamma[name] = Fraction(rng.choice((-1, 1))
+                                           * rng.randint(1, 9),
+                                           rng.randint(1, 9))
+        out.append(Quiver(q.vertices, q.arrows, q.white, gamma))
+    return out
+
+
+def test_modular_verdict_equals_the_rational_one(monkeypatch):
+    # the modular route returns exactly what the engine over Q decides,
+    # field by field, method included. Every battery verdict is decided mod
+    # WORD_PRIME; the random draws hold non-Koszul cases, which fall back
+    fields = _record_engines(monkeypatch)
+    battery = _battery_with_gammas(random.Random(9191))
+    for q in battery:
+        pres = preprojective_presentation(q)
+        assert koszulity_verdict(pres, N=6, i_max=3, d_max=6) == (
+            koszulity_verdict(pres, N=6, i_max=3, d_max=6,
+                              engine=GradedEngine(pres))), q.arrows
+    assert fields == [WORD_PRIME, None] * len(battery)
+    rng = random.Random(7)
+    kinds = {True: 0, False: 0}
+    while sum(kinds.values()) < 150:
+        pres = random_presentation(
+            rng, coefficients=(-2, Fraction(-1, 3), 1, Fraction(5, 2)))
+        if pres is None:
+            continue
+        v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
+        assert v == koszulity_verdict(pres, N=6, i_max=3, d_max=6,
+                                      engine=GradedEngine(pres)), (
+            pres.generators, pres.relations)
+        kinds[v.koszul] += 1
+    assert min(kinds.values()) > 20, kinds

@@ -138,9 +138,11 @@ def test_series_memory_stays_bounded(q, field):
 @pytest.mark.parametrize("command", ["hilbert", "verify", "koszul",
                                      "torsion"])
 def test_hilbert_route_output_survives_python_O(command):
-    # hilbert and verify on A~2 take the closed-form route, and koszul and
-    # torsion refuse from the closed form first and count their top degrees
-    # by distinct leads; python -O must strip nothing that decides them
+    # hilbert and verify on A~2 take the closed-form route, koszul decides
+    # its verdict mod WORD_PRIME, and torsion reads its rational dims from
+    # hilbert_series; all refuse from the closed form first and count their
+    # top degrees by distinct leads. python -O must strip nothing that
+    # decides them
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -151,3 +153,41 @@ def test_hilbert_route_output_survives_python_O(command):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+# koszul on A~2 with the modular stage-3 expected kernel series raised by
+# one at degree 3 entry (0, 1): the kernel check mod WORD_PRIME must raise
+# under python -O too, and the verdict must not fall back to Q
+MODULAR_KERNEL_FAULT = """
+import runpy
+import sys
+import preproj.koszul
+from preproj.algebra import WORD_PRIME
+
+kernel_series = preproj.koszul._kernel_series
+
+def faulty(p, N, engine):
+    hK = kernel_series(p, N, engine)
+    if engine.field.p == WORD_PRIME:
+        hK.coeffs[3][0][1] += 1
+    return hK
+
+preproj.koszul._kernel_series = faulty
+print(sys.flags.optimize)
+sys.argv = ["preproj.cli"] + sys.argv[1:]
+runpy.run_module("preproj.cli", run_name="__main__")
+"""
+
+
+def test_modular_koszul_check_survives_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MODULAR_KERNEL_FAULT, "koszul",
+         str(A2_TILDE_FILE), "--degree", "8"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 1
+    assert proc.stdout == "1\n"
+    assert proc.stderr.splitlines()[-1] == (
+        "AssertionError: kernel dims disagree at degree 3: ranks "
+        "[[0, 0, 0], [0, 0, 0], [0, 0, 0]], series "
+        "[[0, 1, 0], [0, 0, 0], [0, 0, 0]]")

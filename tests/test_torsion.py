@@ -269,21 +269,22 @@ def test_prime_factors_is_complete():
 
 # A~1 with the rational series raised by one at degree 3 entry (0, 1): the
 # cross-check must reject it even when python -O strips assert statements.
+# The rational dims come from hilbert_series, which on A~1 runs no engine
+# over Q, so the fault goes into the series the cross-check reads.
 FAULT_SCRIPT = """
 import sys
-from preproj.algebra import GradedEngine
+import preproj.torsion
 from preproj.quiver import Arrow, Quiver
 from preproj.torsion import torsion_check
 
-series = GradedEngine.series
+series = preproj.torsion.hilbert_series
 
-def faulty(self, N):
-    s = series(self, N)
-    if self.field.p is None:
-        s.coeffs[3][0][1] += 1
+def faulty(pres, N):
+    s = series(pres, N)
+    s.coeffs[3][0][1] += 1
     return s
 
-GradedEngine.series = faulty
+preproj.torsion.hilbert_series = faulty
 q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 try:
     torsion_check(q, 5)
