@@ -58,10 +58,17 @@ class Relation:
 
 class Presentation:
     """Vertices, generators, relations, field. Relations come in as raw
-    (coefficient, b, a) triples; coefficients are converted into the field,
-    duplicate (b, a) pairs merged, zero terms and empty relations dropped."""
+    (coefficient, b, a) triples; coefficients, each an int or a Fraction,
+    are converted into the field (FieldSpec.convert), duplicate (b, a)
+    pairs merged, zero terms and empty relations dropped.
 
-    __slots__ = ("vertices", "generators", "relations", "field")
+    relation_rows is the canonical reduced echelon basis of the span of the
+    relations, as rows over the degree-2 monomial keys (b, a), independent
+    of listing order. It is computed here, once per presentation, and
+    read by relation_dim_matrix and the Koszul resolution's stage 2."""
+
+    __slots__ = ("vertices", "generators", "relations", "field",
+                 "relation_rows")
 
     def __init__(self, vertices, generators, relations, field: FieldSpec = QQ):
         self.vertices = tuple(vertices)
@@ -80,11 +87,15 @@ class Presentation:
                 raise AlgebraError("generator %r endpoints out of range" % (g.name,))
         self.field = field
         rels = []
+        ech = SparseRref(field)
         for raw in relations:
             rel = self._make_relation(raw)
             if rel is not None:
                 rels.append(rel)
+                ech.add_row({(b, a): c for c, b, a in rel.terms})
         self.relations = tuple(rels)
+        units, _ = back_substitute(ech.rows, field)
+        self.relation_rows = tuple(units[k] for k in sorted(units))
 
     def _make_relation(self, raw):
         gens = self.generators
@@ -127,23 +138,13 @@ def generator_matrix(p: Presentation) -> list[list[int]]:
     return C
 
 
-def relation_space_rows(p: Presentation) -> list[dict]:
-    """Canonical reduced echelon basis of the span of the relations, as rows
-    over the degree-2 monomial keys (b, a). Independent of listing order."""
-    ech = SparseRref(p.field)
-    for rel in p.relations:
-        ech.add_row({(b, a): c for c, b, a in rel.terms})
-    units, _ = back_substitute(ech.rows, p.field)
-    return [units[k] for k in sorted(units)]
-
-
 def relation_dim_matrix(p: Presentation) -> list[list[int]]:
     """D[i][j] = dimension of the relation span in block (i, j), i.e. the
     rank of the relations there, not the count of listed relations."""
     n = len(p.vertices)
     D = [[0] * n for _ in range(n)]
     gens = p.generators
-    for row in relation_space_rows(p):
+    for row in p.relation_rows:
         b, a = next(iter(row))
         D[gens[b].head][gens[a].tail] += 1
     return D
@@ -550,18 +551,26 @@ WORD_PRIME = 2**31 - 1
 
 
 def word_prime_image(p: Presentation) -> Presentation | None:
-    """p with its relations reduced mod WORD_PRIME, for p over Q; None
-    when p is over GF(p) or a denominator vanishes mod WORD_PRIME. Its
-    placement rows are those of p reduced mod WORD_PRIME, which is what
-    inequality (2) of hilbert_series compares."""
+    """p with its relations reduced mod WORD_PRIME, when that reduction is
+    good; None when p is over GF(p), when a denominator vanishes mod
+    WORD_PRIME, or when the relation dims differ mod WORD_PRIME. This is
+    the one good-reduction rule of both modular routes, hilbert_series and
+    koszul.koszulity_verdict. The image's placement rows are those of p
+    reduced mod WORD_PRIME, which is what inequality (2) of hilbert_series
+    compares, and its closed form is p's, since C and D agree. A falling
+    relation rank is refused at no loss: h_2 = C^2 - D over each field,
+    so the image's series would exceed p's closed form from degree 2 on."""
     if p.field.p is not None:
         return None
     try:
-        return Presentation(p.vertices, p.generators,
-                            [rel.terms for rel in p.relations],
-                            FieldSpec(WORD_PRIME))
+        image = Presentation(p.vertices, p.generators,
+                             [rel.terms for rel in p.relations],
+                             FieldSpec(WORD_PRIME))
     except FieldError:
         return None
+    if relation_dim_matrix(image) != relation_dim_matrix(p):
+        return None
+    return image
 
 
 def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
@@ -579,12 +588,15 @@ def hilbert_series(p: Presentation, N: int) -> MatrixSeries:
     mod p is nonzero over Q), and the rows are block-diagonal in
     (end, start), so each block of the ideal is at least as large over Q.
 
-    Over Q with cf >= 0 the engine runs mod WORD_PRIME first
-    (word_prime_image). If that series equals cf, then cf <= h_Q <= h_p =
-    cf by (1) and (2), so cf is returned and the engine never runs over Q.
-    Otherwise, and when a denominator vanishes mod WORD_PRIME or the
-    modular engine meets CANDIDATE_BOUND (h_p may exceed h_Q), the engine
-    runs over Q.
+    Over Q with cf >= 0 the engine runs mod WORD_PRIME first when
+    word_prime_image gives a good reduction. If that series equals cf,
+    then cf <= h_Q <= h_p = cf by (1) and (2), so cf is returned and the
+    engine never runs over Q. Otherwise, and when the modular engine meets
+    CANDIDATE_BOUND (h_p may exceed h_Q), the engine runs over Q. Where
+    the reduction is refused for a relation rank that falls mod
+    WORD_PRIME, no modular series could have matched cf: h_2 = C^2 - D
+    over each field, so a smaller D mod WORD_PRIME makes h_p exceed cf
+    from degree 2 on, and for N <= 1 both routes return [I, C].
     """
     cf = closed_form_floor(p, N)
     modular = None if cf is None else word_prime_image(p)

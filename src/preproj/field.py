@@ -92,8 +92,11 @@ class FieldSpec:
         return "FieldSpec(%r)" % (self.p,)
 
     def convert(self, x):
-        """Map an int or Fraction into the field. Raises FieldError when a
-        denominator vanishes mod p."""
+        """Map an int or Fraction into the field. Raises FieldError for any
+        other type (a bool, float or str included) and when a denominator
+        vanishes mod p."""
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            raise FieldError("%r is not an int or a Fraction" % (x,))
         if self.p is None:
             return Fraction(x)
         q = Fraction(x)

@@ -10,19 +10,19 @@ There is one resolution. For a quadratic algebra the complex
 A(x)R -> A(x)V -> A -> k is always exact at A(x)V and at A (Polishchuk-
 Positselski, ch. 1-2), so its first three stages are a minimal resolution
 as far as they go: Tor_0 = I, Tor_1 = C and Tor_2 = D, each in degree i
-only, with the relation-space rows as the stage-2 generators. The search
-for minimal syzygies starts at stage 3, whose kernel is exactly the kernel
-of A(x)R -> A(x)V; its graded dims are checked block by block against
-h_A(1-Ct+Dt^2)-1. When that kernel vanishes through d_max (the series
+only, with the presentation's relation_rows as the stage-2 generators.
+The search for minimal syzygies starts at stage 3, whose kernel is exactly
+the kernel of A(x)R -> A(x)V; its graded dims are checked block by block
+against h_A(1-Ct+Dt^2)-1. When that kernel vanishes through d_max (the series
 equals 1/(1-Ct+Dt^2) there) the Tor table is the Koszul complex's, and the
 verdict's method reads "koszul-complex"; when stage 3 or later finds a
 generator or the Tor column cap leaves a cell partial, it reads "syzygy".
 
-Over Q the verdict runs first mod WORD_PRIME, with every check above, and
-stands when it is Koszul by the Koszul complex with the same relation dims
-over both fields; the proof that the rational verdict is then the same is
-in koszulity_verdict. Any other modular outcome falls back to the verdict
-over Q.
+Over Q the verdict runs first mod WORD_PRIME, with every check above, when
+algebra.word_prime_image gives a good reduction, and stands when it is
+Koszul by the Koszul complex; the proof that the rational verdict is then
+the same is in koszulity_verdict. Any other modular outcome falls back to
+the verdict over Q.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .algebra import (
     closed_form_floor,
     generator_matrix,
     relation_dim_matrix,
-    relation_space_rows,
     word_prime_image,
 )
 from .field import SparseRref, distinct_leads, kernel_vectors
@@ -123,12 +122,12 @@ class _Gen:
 
 
 def _relation_gens(p: Presentation) -> list[_Gen]:
-    """The stage-2 generators: one per relation-space row, at the row's end
-    vertex and root start, whose vector over stage-1 keys (a, (b,)) is the
-    row itself."""
+    """The stage-2 generators: one per row of p.relation_rows, at the row's
+    end vertex and root start, whose vector over stage-1 keys (a, (b,)) is
+    the row itself."""
     gens = p.generators
     out = []
-    for row in relation_space_rows(p):
+    for row in p.relation_rows:
         b0, a0 = next(iter(row))
         out.append(_Gen(gens[b0].head, gens[a0].tail, 2,
                         {(a, (b,)): c for (b, a), c in row.items()}))
@@ -347,8 +346,7 @@ class KoszulVerdict:
 
 
 def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
-                      d_max: int = 8,
-                      engine: GradedEngine | None = None) -> KoszulVerdict:
+                      d_max: int = 8) -> KoszulVerdict:
     """Bounded Koszulity check: series equality with the closed form to
     degree N, plus Tor concentration on d = i for i <= i_max, d <= d_max.
 
@@ -360,22 +358,24 @@ def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
     M, the highest degree the engine reaches: max(N, d_max) when stage 3
     runs, else N.
 
-    Over Q, with no engine passed and cf >= 0 through M, the whole verdict
-    runs first over GF(P), P = WORD_PRIME (word_prime_image), and is
-    returned when it is Koszul by the Koszul complex (method
-    "koszul-complex") and the relation dims are the same over both fields.
-    Otherwise (not Koszul, a generator found from stage 3 on, partial, a
-    denominator divisible by P, CANDIDATE_BOUND met mod P, or a relation
-    rank that falls mod P) the verdict runs over Q. A passed engine is used
-    as given.
+    The route follows from p alone. Over Q with cf >= 0 through M, when
+    word_prime_image gives a good reduction (no denominator divisible by
+    P = WORD_PRIME and the same relation dims over both fields), the whole
+    verdict runs first over GF(P), and it is returned when it is Koszul by
+    the Koszul complex (method "koszul-complex"). Otherwise (not Koszul, a
+    generator found from stage 3 on, partial, CANDIDATE_BOUND met mod P,
+    or no good reduction) the verdict runs over Q.
 
-    Why the answer is the same. Equal relation dims give cf_P = cf.
-    Koszul mod P gives h_P = cf through N. Method "koszul-complex" mod P
-    means no generator was found from stage 3 on, so when stage 3 runs its
-    kernel, whose lowest nonzero degree would hold a generator, is zero
-    through d_max; its dims are h_P(I - Ct + Dt^2) - I, so h_P = cf
-    through M. From the floor h_Q >= cf, and from inequality (2) of
-    hilbert_series h_Q <= h_P, so h_Q = cf through M. Then the rational
+    Why the answer is the same. Equal relation dims give cf_P = cf; without
+    them a Koszul verdict mod P need not be the rational one (x1x0 + x3x2
+    and x1x0 + (P+1)x3x2 are Koszul mod P with Tor_2 = [[1]]; over Q
+    Tor_2 is [[2]] and h_2 = C^2 - D is one lower). Koszul mod P gives
+    h_P = cf through N. Method "koszul-complex" mod P means no generator
+    was found from stage 3 on, so when stage 3 runs its kernel, whose
+    lowest nonzero degree would hold a generator, is zero through d_max;
+    its dims are h_P(I - Ct + Dt^2) - I, so h_P = cf through M. From the
+    floor h_Q >= cf, and from inequality (2) of hilbert_series
+    h_Q <= h_P, so h_Q = cf through M. Then the rational
     GS report equals the modular one, the rational stage-3 kernel is zero
     through d_max, and nothing is found from stage 4 on; the column cap
     reads only dims, which agree. Tor_0..Tor_2 are I, C and D over both
@@ -386,18 +386,15 @@ def koszulity_verdict(p: Presentation, N: int = 10, i_max: int = 3,
     mod P is never a reason to fall back: it propagates.
     """
     M = max(N, d_max) if i_max >= 3 and p.relations else N
-    cf = closed_form_floor(p, M)
-    modular = (None if cf is None or engine is not None
-               else word_prime_image(p))
-    if (modular is not None
-            and relation_dim_matrix(modular) == relation_dim_matrix(p)):
+    modular = None if closed_form_floor(p, M) is None else word_prime_image(p)
+    if modular is not None:
         try:
             v = _verdict(modular, N, i_max, d_max, GradedEngine(modular))
             if v.koszul and v.method == "koszul-complex":
                 return v
         except CandidateBoundError:
             pass
-    return _verdict(p, N, i_max, d_max, engine or GradedEngine(p))
+    return _verdict(p, N, i_max, d_max, GradedEngine(p))
 
 
 def _verdict(p, N, i_max, d_max, engine) -> KoszulVerdict:

@@ -28,8 +28,9 @@ from preproj.algebra import (
     preprojective_presentation,
     relation_dim_matrix,
     WORD_PRIME,
+    word_prime_image,
 )
-from preproj.field import QQ, FieldSpec
+from preproj.field import QQ, FieldError, FieldSpec
 from preproj.quiver import Arrow, Quiver, adjacency_double
 from preproj.series import (
     closed_form,
@@ -75,6 +76,12 @@ def test_presentation_validation():
     gens = [Generator("x", 0, 0), Generator("y", 1, 1)]
     with pytest.raises(AlgebraError):
         Presentation(["u", "w"], gens, [[(1, 0, 0), (1, 1, 1)]])
+    # a coefficient is an int or a Fraction: a float would be stored as its
+    # binary fraction, "2" parsed, True read as 1
+    for field in (QQ, FieldSpec(7)):
+        for bad in (0.1, "2", True, None):
+            with pytest.raises(FieldError):
+                Presentation(["v"], gens[:1], [[(bad, 0, 0)]], field)
 
 
 def test_relation_merging_and_dropping():
@@ -722,6 +729,21 @@ def test_hilbert_series_falls_back_on_a_negative_closed_form(monkeypatch):
     want = GradedEngine(p).series(6)
     fields = _record_series(monkeypatch)
     assert hilbert_series(p, 6) == want
+    assert fields == [None]
+
+
+def test_hilbert_series_runs_no_modular_engine_when_a_rank_drops(
+        monkeypatch):
+    # x1x0 + x3x2 and x1x0 + (P+1) x3x2 are independent over Q and equal
+    # mod P = WORD_PRIME: not a good reduction, so word_prime_image refuses
+    # it and only the rational engine runs
+    p = Presentation(["v"], [Generator("x%d" % k, 0, 0) for k in range(4)],
+                     [[(1, 1, 0), (1, 3, 2)],
+                      [(1, 1, 0), (WORD_PRIME + 1, 3, 2)]])
+    assert word_prime_image(p) is None
+    want = GradedEngine(p).series(5)
+    fields = _record_series(monkeypatch)
+    assert hilbert_series(p, 5) == want
     assert fields == [None]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import preproj
+from preproj import koszul
 from bruteforce import random_presentation, tor_by_search
 from test_acceptance import (
     all_star_combos,
@@ -25,7 +26,7 @@ from preproj.algebra import (
     preprojective_presentation,
     relation_dim_matrix,
 )
-from preproj.field import QQ, FieldSpec
+from preproj.field import QQ, FieldSpec, SparseRref
 from preproj.koszul import (
     golod_shafarevich_check,
     koszul_complex_kernel,
@@ -281,7 +282,7 @@ def test_tor_matches_search_on_acceptance_battery():
         for q in battery:
             pres = preprojective_presentation(q, field)
             engine = GradedEngine(pres)
-            v = koszulity_verdict(pres, N=6, i_max=3, d_max=6, engine=engine)
+            v = koszul._verdict(pres, 6, 3, 6, engine)
             assert v.method == "koszul-complex", (q.arrows, q.white)
             assert v.tor.partial == ()
             assert v.tor == tor_by_search(pres, 3, 6, engine), (
@@ -328,7 +329,7 @@ def test_tor_matches_search_on_random_presentations():
             continue
         draws += 1
         engine = GradedEngine(pres)
-        v = koszulity_verdict(pres, N=6, i_max=4, d_max=6, engine=engine)
+        v = koszul._verdict(pres, 6, 4, 6, engine)
         assert v.tor == tor_by_search(pres, 4, 6, engine), pres.relations
         # with N = d_max the stage-3 kernel vanishes exactly when the
         # series equals the closed form
@@ -428,6 +429,36 @@ def test_verdict_refuses_from_the_closed_form_through_its_reach(monkeypatch):
     assert v.koszul and built == [2]
 
 
+def test_relation_span_is_echeloned_once_per_presentation(monkeypatch):
+    # Presentation echelons its relations once, into relation_rows: a
+    # koszul run over Q echelons the span twice, once per field, and
+    # nothing reads it through a new echelon afterwards. The engine's own
+    # echelons (GradedEngine._build) are not relation echelons.
+    callers = []
+
+    class Counted(SparseRref):
+        def __init__(self, field):
+            callers.append(sys._getframe(1).f_code.co_name)
+            super().__init__(field)
+
+    monkeypatch.setattr(preproj.algebra, "SparseRref", Counted)
+    pres = cycle3_pres()
+    assert koszulity_verdict(pres, N=6, i_max=3, d_max=6).koszul
+    assert len([c for c in callers if c != "_build"]) == 2
+    D = relation_dim_matrix(pres)
+    gens = [(g.vertex, g.root, g.vector) for g in koszul._relation_gens(pres)]
+
+    class Refused:
+        def __init__(self, field):
+            raise AssertionError("relation span echeloned again")
+
+    monkeypatch.setattr(preproj.algebra, "SparseRref", Refused)
+    assert relation_dim_matrix(pres) == D == [[1, 0, 0], [0, 1, 0],
+                                              [0, 0, 1]]
+    assert [(g.vertex, g.root, g.vector)
+            for g in koszul._relation_gens(pres)] == gens
+
+
 def _record_engines(monkeypatch):
     """Record the field prime (None for Q) of every GradedEngine made."""
     fields = []
@@ -478,8 +509,7 @@ def test_verdict_falls_back_when_not_koszul_mod_the_word_prime(monkeypatch):
     # above it from degree 3 on, so both fields run and Q decides
     pres = Presentation(["v"], [Generator("x", 0, 0), Generator("y", 0, 0)],
                         [[(1, 0, 0)]])
-    want = koszulity_verdict(pres, N=6, i_max=3, d_max=6,
-                             engine=GradedEngine(pres))
+    want = koszul._verdict(pres, 6, 3, 6, GradedEngine(pres))
     fields = _record_engines(monkeypatch)
     v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
     assert fields == [WORD_PRIME, None]
@@ -511,22 +541,12 @@ def test_verdict_falls_back_when_stage_3_finds_a_class_mod_the_word_prime(
     # that found a stage-3 class must not stand
     pres = Presentation(["v"], [Generator(n, 0, 0) for n in "xyz"],
                         [[(1, 0, 1)], [(1, 2, 0), (WORD_PRIME, 1, 1)]])
-    want = koszulity_verdict(pres, N=2, i_max=3, d_max=4,
-                             engine=GradedEngine(pres))
+    want = koszul._verdict(pres, 2, 3, 4, GradedEngine(pres))
     fields = _record_engines(monkeypatch)
     v = koszulity_verdict(pres, N=2, i_max=3, d_max=4)
     assert fields == [WORD_PRIME, None]
     assert v == want and not v.koszul
     assert v.tor.matrix(3, 3) == [[0]] and v.tor.matrix(3, 4) == [[2]]
-
-
-def test_verdict_with_an_engine_passed_runs_no_modular_engine(monkeypatch):
-    pres = cycle3_pres()
-    fields = _record_engines(monkeypatch)
-    v = koszulity_verdict(pres, N=6, i_max=3, d_max=6,
-                          engine=GradedEngine(pres))
-    assert fields == [None]
-    assert v.koszul
 
 
 def _battery_with_gammas(rng):
@@ -554,8 +574,7 @@ def test_modular_verdict_equals_the_rational_one(monkeypatch):
     for q in battery:
         pres = preprojective_presentation(q)
         assert koszulity_verdict(pres, N=6, i_max=3, d_max=6) == (
-            koszulity_verdict(pres, N=6, i_max=3, d_max=6,
-                              engine=GradedEngine(pres))), q.arrows
+            koszul._verdict(pres, 6, 3, 6, GradedEngine(pres))), q.arrows
     assert fields == [WORD_PRIME, None] * len(battery)
     rng = random.Random(7)
     kinds = {True: 0, False: 0}
@@ -565,8 +584,7 @@ def test_modular_verdict_equals_the_rational_one(monkeypatch):
         if pres is None:
             continue
         v = koszulity_verdict(pres, N=6, i_max=3, d_max=6)
-        assert v == koszulity_verdict(pres, N=6, i_max=3, d_max=6,
-                                      engine=GradedEngine(pres)), (
+        assert v == koszul._verdict(pres, 6, 3, 6, GradedEngine(pres)), (
             pres.generators, pres.relations)
         kinds[v.koszul] += 1
     assert min(kinds.values()) > 20, kinds

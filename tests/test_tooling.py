@@ -56,6 +56,53 @@ def test_package_imports_only_the_standard_library():
     assert not found, "non-stdlib import in the package: %s" % ", ".join(found)
 
 
+def _package_homes(predicate) -> set:
+    """(file name, dotted name of the enclosing class and function) for
+    every syntax node of the package that predicate accepts."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if predicate(child):
+                found.add((path.name, ".".join(scope)))
+            visit(child, path, scope + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    return found
+
+
+def _builds_word_prime_field(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "FieldSpec"
+            and any(getattr(a, "id", getattr(a, "attr", None)) == "WORD_PRIME"
+                    for a in node.args))
+
+
+def _assigns_relation_rows(node) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Attribute) and t.attr == "relation_rows"
+               for t in targets)
+
+
+def test_good_reduction_and_relation_rows_each_have_one_home():
+    # the modular routes share one good-reduction rule only while
+    # word_prime_image is the one place that reduces mod WORD_PRIME, and
+    # the relation span is echeloned once only while Presentation.__init__
+    # is the one place that sets relation_rows
+    assert _package_homes(_builds_word_prime_field) == {
+        ("algebra.py", "word_prime_image")}
+    assert _package_homes(_assigns_relation_rows) == {
+        ("algebra.py", "Presentation.__init__")}
+
+
 def test_bench_span_targets_resolve():
     # the bench's --trace run wraps these by name from outside the package;
     # SPANS is read from the file's syntax tree, so nothing under bench/ is
